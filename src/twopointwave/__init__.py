@@ -33,6 +33,7 @@ from .integrate import (
 )
 from .diagnostics import (
     EnergyRecord,
+    EnergyRecords,
     DecayReport,
     SandwichReport,
     DifferentialReport,

@@ -22,7 +22,7 @@ dt-dependent tolerance calibrated by Richardson comparison of a run pair
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .params import DerivedConstants, ProblemParams
 
 __all__ = [
     "EnergyRecord",
+    "EnergyRecords",
     "DecayReport",
     "SandwichReport",
     "DifferentialReport",
@@ -53,6 +54,11 @@ __all__ = [
 # Samples below this energy are rounding noise; the log fit excludes them.
 ENERGY_FLOOR = 1e-14
 
+# Rows per block of the batched quadratic forms.  Bounds each temporary (and
+# the BLAS packing buffers) to BLOCK_ROWS*m doubles, 1 MB at m = 65, whatever
+# the trajectory length.
+BLOCK_ROWS = 2048
+
 
 @dataclass(frozen=True)
 class EnergyRecord:
@@ -64,21 +70,48 @@ class EnergyRecord:
     X: float
 
 
+COLUMNS = tuple(f.name for f in fields(EnergyRecord))
+
+
+@dataclass(frozen=True, eq=False)
+class EnergyRecords:
+    """The observables along a trajectory, one array per column of
+    ``EnergyRecord``; ``records[n]`` is the ``EnergyRecord`` of sample n."""
+
+    t: np.ndarray
+    E: np.ndarray
+    psi: np.ndarray
+    Gamma: np.ndarray
+    sigma: np.ndarray
+    X: np.ndarray
+
+    @classmethod
+    def of(cls, records) -> EnergyRecords:
+        """Columns of ``records``: an EnergyRecords, or any sequence of rows."""
+        if isinstance(records, cls):
+            return records
+        rows = np.array([[getattr(r, k) for k in COLUMNS] for r in records], dtype=float)
+        return cls(*rows.reshape(-1, len(COLUMNS)).T)
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, n) -> EnergyRecord:
+        return EnergyRecord(*(float(getattr(self, k)[n]) for k in COLUMNS))
+
+    def __iter__(self):
+        return (self[n] for n in range(len(self)))
+
+
 @dataclass(frozen=True)
 class DecayReport:
-    """Fitted exponential envelope of E plus the monitor outcomes.
-
-    ``sandwich_violations`` / ``differential_violations`` are None until the
-    corresponding checks have been run (the fit itself does not run them).
-    """
+    """Fitted exponential envelope of E."""
 
     fitted_rate: float
     fitted_amplitude: float
     theoretical_delta: float
     fit_window: tuple[float, float]
     residual: float
-    sandwich_violations: int | None = None
-    differential_violations: int | None = None
 
 
 @dataclass(frozen=True)
@@ -95,34 +128,50 @@ class DifferentialReport:
     c_dt: float
 
 
-def _state(sys: GalerkinSystem, c, v):
-    c = np.asarray(c, dtype=float)
-    v = np.asarray(v, dtype=float)
+def _functionals(sys: GalerkinSystem, p: ProblemParams, C: np.ndarray, V: np.ndarray):
+    """E, psi and ||u'||^2 + ||u||_1^2 of each state row (C[n], V[n]).
+
+    Each of the five quadratic forms v'Mv, c'Ac, c'Mc, c'Mv and c'Sc is
+    evaluated once per row, BLOCK_ROWS rows at a time.
+    """
+    E, psi_, norms = np.empty(len(C)), np.empty(len(C)), np.empty(len(C))
+    for start in range(0, len(C), BLOCK_ROWS):
+        b = slice(start, start + BLOCK_ROWS)
+        c, v = C[b], V[b]
+        cM = c @ sys.M
+        vMv = np.einsum("ni,ni->n", v @ sys.M, v)
+        cMc = np.einsum("ni,ni->n", cM, c)
+        u0, u1 = c @ sys.trace0, c @ sys.trace1
+        E[b] = 0.5 * vMv + 0.5 * np.einsum("ni,ni->n", c @ sys.A, c) + 0.5 * p.K * cMc
+        psi_[b] = (np.einsum("ni,ni->n", cM, v) + 0.5 * p.lam * cMc
+                   + 0.5 * p.lam0 * u0**2 + 0.5 * p.lam1 * u1**2)
+        norms[b] = vMv + (u0**2 + np.einsum("ni,ni->n", c @ sys.S, c))
+    return E, psi_, norms
+
+
+def _one_state(sys: GalerkinSystem, p: ProblemParams, c, v) -> tuple[float, float]:
+    """E and psi of the state (c, v)."""
+    c, v = np.asarray(c, dtype=float), np.asarray(v, dtype=float)
     if c.shape != (sys.m,) or v.shape != (sys.m,):
         raise DimensionError(f"state vectors must have length {sys.m}")
-    return c, v
+    E, psi_, _ = _functionals(sys, p, c[None], v[None])
+    return float(E[0]), float(psi_[0])
 
 
 def energy(sys: GalerkinSystem, p: ProblemParams, c, v) -> float:
     """Total energy: kinetic + boundary-augmented potential + restoring term."""
-    c, v = _state(sys, c, v)
-    return float(0.5 * v @ sys.M @ v + 0.5 * c @ sys.A @ c + 0.5 * p.K * (c @ sys.M @ c))
+    return _one_state(sys, p, c, v)[0]
 
 
 def psi(sys: GalerkinSystem, p: ProblemParams, c, v) -> float:
     """Auxiliary functional mixing displacement and velocity."""
-    c, v = _state(sys, c, v)
-    return float(
-        c @ sys.M @ v
-        + 0.5 * p.lam * (c @ sys.M @ c)
-        + 0.5 * p.lam0 * (c @ sys.trace0) ** 2
-        + 0.5 * p.lam1 * (c @ sys.trace1) ** 2
-    )
+    return _one_state(sys, p, c, v)[1]
 
 
 def lyapunov(sys: GalerkinSystem, p: ProblemParams, dc: DerivedConstants, c, v) -> float:
     """Lyapunov functional Gamma = E + delta*psi."""
-    return energy(sys, p, c, v) + dc.delta * psi(sys, p, c, v)
+    E, psi_ = _one_state(sys, p, c, v)
+    return E + dc.delta * psi_
 
 
 def sigma_forcing(forcing: Forcing, sys: GalerkinSystem, t: float) -> float:
@@ -143,73 +192,50 @@ def record_trajectory(
     p: ProblemParams,
     dc: DerivedConstants | None,
     forcing: Forcing = Forcing(),
-) -> list[EnergyRecord]:
+) -> EnergyRecords:
     """Per-sample observables along a trajectory.
 
     ``dc=None`` is allowed for configs outside the decay hypotheses (for
     example the conservation control); Gamma then degenerates to E.
     """
-    C, V, t = traj.coeffs, traj.velocities, traj.times
-    E = (
-        0.5 * np.einsum("ni,ij,nj->n", V, sys.M, V)
-        + 0.5 * np.einsum("ni,ij,nj->n", C, sys.A, C)
-        + 0.5 * p.K * np.einsum("ni,ij,nj->n", C, sys.M, C)
-    )
-    psi_all = (
-        np.einsum("ni,ij,nj->n", C, sys.M, V)
-        + 0.5 * p.lam * np.einsum("ni,ij,nj->n", C, sys.M, C)
-        + 0.5 * p.lam0 * traj.traces[:, 0] ** 2
-        + 0.5 * p.lam1 * traj.traces[:, 1] ** 2
-    )
+    t = traj.times
+    E, psi_all, norms = _functionals(sys, p, traj.coeffs, traj.velocities)
     delta = 0.0 if dc is None else dc.delta
-    gamma = E + delta * psi_all
     if forcing.f is None and forcing.g0 is None and forcing.g1 is None:
         sigma = np.zeros_like(t)
     else:
         sigma = np.array([sigma_forcing(forcing, sys, ti) for ti in t])
-    norm1 = traj.traces[:, 0] ** 2 + np.einsum("ni,ij,nj->n", C, sys.S, C)
-    kinetic = np.einsum("ni,ij,nj->n", V, sys.M, V)
-    X = kinetic + norm1 + traj.accumulators[:, 0] + traj.accumulators[:, 1]
-    return [
-        EnergyRecord(t=float(t[n]), E=float(E[n]), psi=float(psi_all[n]),
-                     Gamma=float(gamma[n]), sigma=float(sigma[n]), X=float(X[n]))
-        for n in range(len(t))
-    ]
+    X = norms + traj.accumulators[:, 0] + traj.accumulators[:, 1]
+    return EnergyRecords(t=t, E=E, psi=psi_all, Gamma=E + delta * psi_all, sigma=sigma, X=X)
 
 
 def check_sandwich(records, dc: DerivedConstants) -> SandwichReport:
     """Count samples violating beta1*E <= Gamma <= beta2*E.
 
-    Tolerance is 1e-10 * max(E, 1) per sample.  The worst ratio is the
-    largest violation margin scaled the same way (negative when every sample
-    sits strictly inside the sandwich).
+    Tolerance is 1e-10 * max(E, 1) per sample; a non-finite sample counts as
+    a violation.  The worst ratio is the largest violation margin scaled the
+    same way (negative when every sample sits strictly inside the sandwich).
     """
-    violations = 0
-    worst = -math.inf
-    for r in records:
-        tol = 1e-10 * max(r.E, 1.0)
-        low_gap = dc.beta1 * r.E - r.Gamma
-        high_gap = r.Gamma - dc.beta2 * r.E
-        gap = max(low_gap, high_gap)
-        worst = max(worst, gap / max(r.E, 1.0))
-        if gap > tol:
-            violations += 1
-    return SandwichReport(violations=violations, worst_ratio=worst)
+    r = EnergyRecords.of(records)
+    scale = np.maximum(r.E, 1.0)
+    gap = np.maximum(dc.beta1 * r.E - r.Gamma, r.Gamma - dc.beta2 * r.E)
+    return SandwichReport(
+        violations=int(np.count_nonzero(~(gap <= 1e-10 * scale))),
+        worst_ratio=float(np.max(gap / scale, initial=-math.inf)),
+    )
 
 
 def _dissipation_margins(records, dc: DerivedConstants) -> tuple[np.ndarray, float]:
     """Centered-difference margins of the dissipation inequality (interior samples)."""
-    if len(records) < 3:
-        raise TooFewSamplesError(f"need at least 3 records, got {len(records)}")
-    t = np.array([r.t for r in records])
-    gamma = np.array([r.Gamma for r in records])
-    sigma = np.array([r.sigma for r in records])
-    dts = np.diff(t)
+    r = EnergyRecords.of(records)
+    if len(r) < 3:
+        raise TooFewSamplesError(f"need at least 3 records, got {len(r)}")
+    dts = np.diff(r.t)
     dt = dts[0]
     if not np.allclose(dts, dt, rtol=1e-9, atol=1e-12):
         raise ValueError("records are not uniformly sampled")
-    dgamma = (gamma[2:] - gamma[:-2]) / (2.0 * dt)
-    rhs = -dc.delta * gamma[1:-1] + 0.5 * (1.0 / dc.eps1 + dc.delta / dc.eps2) * sigma[1:-1]
+    dgamma = (r.Gamma[2:] - r.Gamma[:-2]) / (2.0 * dt)
+    rhs = -dc.delta * r.Gamma[1:-1] + 0.5 * (1.0 / dc.eps1 + dc.delta / dc.eps2) * r.sigma[1:-1]
     return dgamma - rhs, dt
 
 
@@ -221,10 +247,10 @@ def check_differential_inequality(
 ) -> DifferentialReport:
     """Count dissipation-inequality violations beyond the dt^2 tolerance.
 
-    The tolerance is c_dt*dt^2 + 1e-8.  When ``refined_records`` (a run of
-    the same scenario at dt/2) is given, c_dt is estimated by Richardson
-    comparison of the two worst margins; otherwise ``c_dt`` may be supplied
-    directly and defaults to 0.
+    The tolerance is c_dt*dt^2 + 1e-8; a non-finite margin counts as a
+    violation.  When ``refined_records`` (a run of the same scenario at dt/2)
+    is given, c_dt is estimated by Richardson comparison of the two worst
+    margins; otherwise ``c_dt`` may be supplied directly and defaults to 0.
     """
     margins, dt = _dissipation_margins(records, dc)
     if refined_records is not None:
@@ -235,9 +261,8 @@ def check_differential_inequality(
     elif c_dt is None:
         c_dt = 0.0
     tol = c_dt * dt * dt + 1e-8
-    violations = int(np.sum(margins > tol))
     return DifferentialReport(
-        violations=violations,
+        violations=int(np.count_nonzero(~(margins <= tol))),
         worst_margin=float(margins.max()),
         tolerance=tol,
         c_dt=float(c_dt),
@@ -259,8 +284,8 @@ def fit_decay_rate(
     (a broken run has no decay rate), or when fewer than 10 usable samples
     remain (the energy underflowed, i.e. decay was too fast for the horizon).
     """
-    t = np.array([r.t for r in records])
-    E = np.array([r.E for r in records])
+    r = EnergyRecords.of(records)
+    t, E = r.t, r.E
     if fit_window is None:
         t_end = t[-1]
         fit_window = (0.5 * t_end, t_end)

@@ -27,19 +27,19 @@ failed, 2 config error, 3 decay checks requested on inadmissible params,
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .compat import ladder_check, smooth_data_from_manufactured
 from .diagnostics import (
+    COLUMNS,
     DecayReport,
-    EnergyRecord,
+    EnergyRecords,
     check_differential_inequality,
     check_sandwich,
     fit_decay_rate,
@@ -55,6 +55,7 @@ __all__ = [
     "Scenario",
     "parse_scenario",
     "run_scenario",
+    "execute",
     "convergence_study",
     "sweep_scenario",
     "write_energy_csv",
@@ -149,19 +150,20 @@ def parse_scenario(path: str | os.PathLike) -> Scenario:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         raw[key] = value
 
-    def take_float(key, default=None):
+    def take_float(key, *default):
+        """The number at ``key``; required unless a default is given."""
         if key not in raw:
-            if default is None:
+            if not default:
                 raise ConfigError(f"{path}: missing required key {key!r}")
-            return default
+            return default[0]
         value = raw.pop(key)
         try:
             return float(value)
         except ValueError as exc:
             raise ConfigError(f"{path}: {key}: not a number: {value!r}") from exc
 
-    def take_int(key, default=None):
-        value = take_float(key, default)
+    def take_int(key, *default):
+        value = take_float(key, *default)
         if value != int(value):
             raise ConfigError(f"{path}: {key}: expected an integer, got {value}")
         return int(value)
@@ -170,8 +172,6 @@ def parse_scenario(path: str | os.PathLike) -> Scenario:
     n_nodes = take_int("n_nodes")
     T = take_float("T")
     dt = take_float("dt")
-    if T <= 0 or dt <= 0 or n_nodes < 2:
-        raise ConfigError(f"{path}: need T > 0, dt > 0 and n_nodes >= 2")
 
     initial_data = raw.pop("initial_data", "cosine")
     if initial_data not in INITIAL_DATA_NAMES:
@@ -190,10 +190,6 @@ def parse_scenario(path: str | os.PathLike) -> Scenario:
     for c in checks:
         if c not in CHECK_NAMES:
             raise ConfigError(f"{path}: unknown check {c!r}; known: {CHECK_NAMES}")
-    if "ladder" in checks and manufactured is None:
-        raise ConfigError(f"{path}: the ladder check needs a manufactured scenario")
-    if "oracle" in checks and n_nodes > 8:
-        raise ConfigError(f"{path}: the oracle check needs n_nodes <= 8")
 
     scenario = Scenario(
         params=params,
@@ -210,20 +206,24 @@ def parse_scenario(path: str | os.PathLike) -> Scenario:
         checks=checks,
         seed=take_int("seed", 0),
         write_solution=_parse_bool(raw.pop("write_solution", "false"), "write_solution"),
-        eps1=take_float("eps1", math.nan),
-        eps2=take_float("eps2", math.nan),
-        delta=take_float("delta", math.nan),
-    )
-    # NaN marks "not supplied" from the default plumbing above.
-    scenario = replace(
-        scenario,
-        eps1=None if math.isnan(scenario.eps1) else scenario.eps1,
-        eps2=None if math.isnan(scenario.eps2) else scenario.eps2,
-        delta=None if math.isnan(scenario.delta) else scenario.delta,
+        eps1=take_float("eps1", None),
+        eps2=take_float("eps2", None),
+        delta=take_float("delta", None),
     )
     if raw:
         raise ConfigError(f"{path}: unknown keys: {sorted(raw)}")
+    _validate(scenario, path)
     return scenario
+
+
+def _validate(scn: Scenario, where) -> None:
+    """Cross-field consistency; also applied to the patched scenarios of a sweep."""
+    if scn.T <= 0 or scn.dt <= 0 or scn.n_nodes < 2:
+        raise ConfigError(f"{where}: need T > 0, dt > 0 and n_nodes >= 2")
+    if "ladder" in scn.checks and scn.manufactured is None:
+        raise ConfigError(f"{where}: the ladder check needs a manufactured scenario")
+    if "oracle" in scn.checks and scn.n_nodes > 8:
+        raise ConfigError(f"{where}: the oracle check needs n_nodes <= 8")
 
 
 def _initial_data_functions(scn: Scenario, ms):
@@ -251,37 +251,22 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+def _write_csv(path, header, columns) -> None:
+    """Columns as rows of %.17g (exact round trip), comma-separated, CRLF-ended."""
+    with open(path, "w", newline="") as fh:
+        np.savetxt(fh, np.column_stack(columns), fmt="%.17g", delimiter=",",
+                   header=",".join(header), comments="", newline="\r\n")
+
+
 def write_energy_csv(path, records, traces) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "E", "psi", "Gamma", "sigma", "X", "u0_trace", "u1_trace"])
-        for rec, tr in zip(records, traces):
-            writer.writerow(
-                [_fmt(rec.t), _fmt(rec.E), _fmt(rec.psi), _fmt(rec.Gamma),
-                 _fmt(rec.sigma), _fmt(rec.X), _fmt(tr[0]), _fmt(tr[1])]
-            )
+    r = EnergyRecords.of(records)
+    _write_csv(path, COLUMNS + ("u0_trace", "u1_trace"),
+               [getattr(r, k) for k in COLUMNS] + [traces[:, 0], traces[:, 1]])
 
 
-def read_energy_csv(path) -> list[EnergyRecord]:
-    records = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            records.append(
-                EnergyRecord(
-                    t=float(row["t"]), E=float(row["E"]), psi=float(row["psi"]),
-                    Gamma=float(row["Gamma"]), sigma=float(row["sigma"]), X=float(row["X"]),
-                )
-            )
-    return records
-
-
-def _write_solution_csv(path, traj) -> None:
-    m = traj.coeffs.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"u_{i}" for i in range(m)])
-        for n in range(traj.n_samples):
-            writer.writerow([_fmt(traj.times[n])] + [_fmt(v) for v in traj.coeffs[n]])
+def read_energy_csv(path) -> EnergyRecords:
+    return EnergyRecords(*np.loadtxt(path, delimiter=",", skiprows=1,
+                                     usecols=range(len(COLUMNS)), ndmin=2, unpack=True))
 
 
 def resolve_outdir(config_path, outdir=None) -> Path:
@@ -391,7 +376,12 @@ def run_scenario(config_path, outdir=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}")
         return 2
+    return execute(scn, resolve_outdir(config_path, outdir))
 
+
+def execute(scn: Scenario, outdir) -> int:
+    """Run a parsed scenario; writes artifacts to the existing directory
+    ``outdir`` and returns the exit code."""
     wants_decay = DECAY_CHECKS.intersection(scn.checks)
     verdict = validate_params(scn.params, require_decay_hypotheses=True)
     if wants_decay and not verdict.accepted:
@@ -411,18 +401,19 @@ def run_scenario(config_path, outdir=None) -> int:
     u0, u1 = _initial_data_functions(scn, ms)
     c0, v0 = project_initial_data(mesh, u0, u1)
 
-    out = resolve_outdir(config_path, outdir)
+    out = Path(outdir)
     try:
         traj = integrate(sys, forcing, c0, v0, scn.T, scn.dt)
         records = record_trajectory(traj, sys, scn.params, dc, forcing)
         results, decay_report = _run_checks(scn, sys, dc, forcing, traj, records, ms)
-    except (SingularMatrixError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (SingularMatrixError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"solver error: {exc}")
         return 4
 
     write_energy_csv(out / "energy.csv", records, traj.traces)
     if scn.write_solution:
-        _write_solution_csv(out / "solution.csv", traj)
+        _write_csv(out / "solution.csv", ["t"] + [f"u_{i}" for i in range(sys.m)],
+                   [traj.times, traj.coeffs])
     overall = all(r.passed for r in results)
     _write_report(out / "report.txt", scn, dc, results, decay_report, overall)
     for res in results:
@@ -474,14 +465,8 @@ def convergence_study(base: Scenario, levels: int) -> list[ConvergenceRow]:
 
 
 def write_convergence_csv(path, rows: list[ConvergenceRow]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n_nodes", "dt", "L2_error", "H1_error", "L2_order", "H1_order"])
-        for r in rows:
-            writer.writerow(
-                [r.n_nodes, _fmt(r.dt), _fmt(r.l2_error), _fmt(r.h1_error),
-                 _fmt(r.l2_order), _fmt(r.h1_order)]
-            )
+    _write_csv(path, ["n_nodes", "dt", "L2_error", "H1_error", "L2_order", "H1_order"],
+               np.array([astuple(r) for r in rows]).T)
 
 
 def sweep_scenario(config_path, param: str, values: list[float], outdir=None) -> int:
@@ -501,9 +486,15 @@ def sweep_scenario(config_path, param: str, values: list[float], outdir=None) ->
         subdir = base_out / f"{param}_{value:g}"
         subdir.mkdir(parents=True, exist_ok=True)
         patched = _patch_scenario(scn, param, value)
-        tmp_config = subdir / "scenario.cfg"
-        tmp_config.write_text(_scenario_to_config(patched))
-        code = run_scenario(tmp_config, outdir=subdir)
+        # written for reproducibility: parse_scenario gives back ``patched``
+        (subdir / "scenario.cfg").write_text(_scenario_to_config(patched))
+        try:
+            _validate(patched, f"{param}={value:g}")
+        except ConfigError as exc:
+            print(f"config error: {exc}")
+            code = 2
+        else:
+            code = execute(patched, subdir)
         print(f"sweep {param}={value:g}: exit {code}")
         worst = max(worst, code)
     return worst
@@ -512,32 +503,13 @@ def sweep_scenario(config_path, param: str, values: list[float], outdir=None) ->
 def _patch_scenario(scn: Scenario, param: str, value: float) -> Scenario:
     if param in PARAM_KEYS:
         return replace(scn, params=replace(scn.params, **{param: value}))
-    if param == "n_nodes":
-        return replace(scn, n_nodes=int(value))
-    return replace(scn, **{param: value})
+    return replace(scn, **{param: int(value) if param == "n_nodes" else value})
 
 
 def _scenario_to_config(scn: Scenario) -> str:
-    lines = [f"{k} = {getattr(scn.params, k)!r}" for k in PARAM_KEYS]
-    lines += [
-        f"n_nodes = {scn.n_nodes}",
-        f"T = {scn.T!r}",
-        f"dt = {scn.dt!r}",
-        f"initial_data = {scn.initial_data}",
-        f"initial_amplitude = {scn.initial_amplitude!r}",
-        f"forcing = {scn.forcing}",
-        f"forcing_amplitude = {scn.forcing_amplitude!r}",
-        f"forcing_rate = {scn.forcing_rate!r}",
-        f"alpha = {scn.alpha!r}",
-        f"seed = {scn.seed}",
-        f"write_solution = {str(scn.write_solution).lower()}",
-    ]
-    if scn.manufactured:
-        lines.append(f"manufactured = {scn.manufactured}")
-    if scn.checks:
-        lines.append("checks = " + ", ".join(scn.checks))
-    for key in ("eps1", "eps2", "delta"):
-        value = getattr(scn, key)
-        if value is not None:
-            lines.append(f"{key} = {value!r}")
-    return "\n".join(lines) + "\n"
+    """Config text that parse_scenario reads back as ``scn``."""
+    values = {**vars(scn.params), **vars(scn), "checks": ", ".join(scn.checks),
+              "write_solution": str(scn.write_solution).lower()}
+    del values["params"]
+    return "".join(f"{k} = {v!r}\n" if isinstance(v, float) else f"{k} = {v}\n"
+                   for k, v in values.items() if v is not None and v != "")

@@ -6,6 +6,7 @@ import pytest
 
 from twopointwave import (
     EnergyRecord,
+    EnergyRecords,
     Forcing,
     ProblemParams,
     assemble,
@@ -18,15 +19,31 @@ from twopointwave import (
     lyapunov,
     norm_1_sq,
     psi,
+    read_energy_csv,
     record_trajectory,
     sigma_forcing,
     uniform_mesh,
+    write_energy_csv,
 )
 from twopointwave.errors import (
     DimensionError,
     InsufficientDataError,
     TooFewSamplesError,
 )
+
+
+def flat_records(n, **overrides):
+    """n zero records at spacing 0.1, with the given columns replaced."""
+    columns = dict(t=0.1 * np.arange(n), E=np.zeros(n), psi=np.zeros(n),
+                   Gamma=np.zeros(n), sigma=np.zeros(n), X=np.zeros(n))
+    columns.update(overrides)
+    return EnergyRecords(**columns)
+
+
+def with_nan(n, column, index):
+    values = np.zeros(n)
+    values[index] = math.nan
+    return flat_records(n, **{column: values})
 
 
 def make_params(**overrides):
@@ -159,6 +176,50 @@ class TestRecordTrajectory:
         acc = traj.accumulators.sum(axis=1)
         assert np.all(np.diff(acc) >= 0.0)
 
+    def test_columns_match_scalar_functionals(self, ref_system, ref_run, ref_dc, ref_params):
+        traj, records = ref_run
+        assert isinstance(records, EnergyRecords)
+        assert len(records) == traj.n_samples
+        M, A = ref_system.M, ref_system.A
+        for n in (0, 1, 2500, 5000, 10_000):
+            c, v = traj.coeffs[n], traj.velocities[n]
+            assert records.t[n] == traj.times[n]
+            # the functionals written out directly, independent of the package
+            E = 0.5 * v @ M @ v + 0.5 * c @ A @ c + 0.5 * ref_params.K * (c @ M @ c)
+            assert records.E[n] == pytest.approx(E, rel=1e-13)
+            assert records.E[n] == pytest.approx(energy(ref_system, ref_params, c, v), rel=1e-13)
+            assert records.psi[n] == pytest.approx(psi(ref_system, ref_params, c, v), rel=1e-13)
+            assert records.Gamma[n] == pytest.approx(
+                lyapunov(ref_system, ref_params, ref_dc, c, v), rel=1e-13)
+
+    def test_row_access(self, ref_run):
+        _, records = ref_run
+        row = records[-1]
+        assert isinstance(row, EnergyRecord)
+        assert row == EnergyRecord(t=records.t[-1], E=records.E[-1], psi=records.psi[-1],
+                                   Gamma=records.Gamma[-1], sigma=records.sigma[-1],
+                                   X=records.X[-1])
+        assert list(records)[7] == records[7]
+
+    def test_rows_convert_to_columns(self):
+        rows = [EnergyRecord(t=0.5 * n, E=n, psi=-n, Gamma=2 * n, sigma=0.0, X=3 * n)
+                for n in range(4)]
+        columns = EnergyRecords.of(rows)
+        assert EnergyRecords.of(columns) is columns
+        assert list(columns) == rows
+        np.testing.assert_array_equal(columns.Gamma, [0.0, 2.0, 4.0, 6.0])
+        assert len(EnergyRecords.of([])) == 0
+
+    def test_energy_csv_round_trip_is_bit_exact(self, ref_run, tmp_path):
+        traj, records = ref_run
+        path = tmp_path / "energy.csv"
+        write_energy_csv(path, records, traj.traces)
+        back = read_energy_csv(path)
+        for name in ("t", "E", "psi", "Gamma", "sigma", "X"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(records, name))
+        with open(path, "rb") as fh:
+            assert fh.readline() == b"t,E,psi,Gamma,sigma,X,u0_trace,u1_trace\r\n"
+
 
 class TestSandwichCheck:
     def test_zero_records(self, ref_dc):
@@ -189,12 +250,50 @@ class TestSandwichCheck:
                    for n in range(7)]
         assert check_sandwich(records, ref_dc).violations == 7
 
+    def test_matches_per_sample_reference(self, ref_run, ref_dc):
+        _, records = ref_run
+        factors = np.random.default_rng(7).uniform(0.0, 6.0, len(records))
+        scaled = EnergyRecords(records.t, records.E, records.psi, factors * records.Gamma,
+                               records.sigma, records.X)
+        violations, worst = 0, -math.inf
+        for r in scaled:
+            scale = max(r.E, 1.0)
+            gap = max(ref_dc.beta1 * r.E - r.Gamma, r.Gamma - ref_dc.beta2 * r.E)
+            worst = max(worst, gap / scale)
+            violations += gap > 1e-10 * scale
+        report = check_sandwich(scaled, ref_dc)
+        assert 0 < violations < len(records)
+        assert (report.violations, report.worst_ratio) == (violations, worst)
+
+    def test_all_nan_records_are_violations(self, ref_dc):
+        nan = np.full(6, math.nan)
+        records = flat_records(6, E=nan, psi=nan, Gamma=nan, X=nan)
+        assert check_sandwich(records, ref_dc).violations == 6
+
+    @pytest.mark.parametrize("column", ["E", "Gamma"])
+    def test_one_nan_among_finite_records(self, ref_dc, column):
+        assert check_sandwich(with_nan(9, column, 4), ref_dc).violations == 1
+
 
 class TestDifferentialCheck:
     def test_zero_records(self, ref_dc):
         records = [EnergyRecord(t=0.1 * n, E=0.0, psi=0.0, Gamma=0.0, sigma=0.0, X=0.0)
                    for n in range(5)]
         assert check_differential_inequality(records, ref_dc).violations == 0
+
+    def test_all_nan_records_are_violations(self, ref_dc):
+        nan = np.full(6, math.nan)
+        records = flat_records(6, E=nan, psi=nan, Gamma=nan, X=nan)
+        report = check_differential_inequality(records, ref_dc)
+        assert report.violations == 4
+
+    def test_one_nan_among_finite_records(self, ref_dc):
+        # Gamma[4] enters the centered margins at samples 3, 4 and 5
+        report = check_differential_inequality(with_nan(9, "Gamma", 4), ref_dc)
+        assert report.violations == 3
+        # a NaN forcing magnitude poisons only its own sample
+        report = check_differential_inequality(with_nan(9, "sigma", 4), ref_dc)
+        assert report.violations == 1
 
     def test_too_few_samples(self, ref_dc):
         records = [EnergyRecord(t=0.0, E=1.0, psi=0.0, Gamma=1.0, sigma=0.0, X=0.0)]

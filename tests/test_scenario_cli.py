@@ -11,6 +11,7 @@ from twopointwave import (
 )
 from twopointwave.cli import main
 from twopointwave.errors import ConfigError
+from twopointwave import scenario
 from twopointwave.scenario import convergence_study, sweep_scenario
 
 SMALL_RUN = """\
@@ -220,6 +221,48 @@ class TestCli:
         assert code == 0
         assert (out / "ht0_0" / "energy.csv").exists()
         assert (out / "ht0_0.02" / "energy.csv").exists()
+
+    @pytest.mark.parametrize("param, value, extra", [
+        ("ht0", 0.02, ""),
+        ("n_nodes", 9.0, ""),
+        ("ht0", 0.02, "eps1 = 0.22275\n"),
+        ("initial_amplitude", 0.1 + 0.2, ""),
+    ])
+    def test_sweep_config_reproduces_the_run(self, tmp_path, monkeypatch, param, value, extra):
+        ran = []
+
+        def recording_execute(scn, outdir):
+            ran.append(scn)
+            return execute(scn, outdir)
+
+        execute = scenario.execute
+        monkeypatch.setattr(scenario, "execute", recording_execute)
+        config = write_config(tmp_path, SMALL_RUN + extra)
+        out = tmp_path / "sweep"
+        assert sweep_scenario(config, param, [value], outdir=out) == 0
+        (patched,) = ran
+        assert parse_scenario(out / f"{param}_{value:g}" / "scenario.cfg") == patched
+        target = patched.params if param == "ht0" else patched
+        assert getattr(target, param) == value
+        assert patched.eps1 == (0.22275 if extra else None)
+
+    def test_sweep_rejects_invalid_values_with_exit_2(self, tmp_path, capsys):
+        config = write_config(tmp_path, SMALL_RUN)
+        code = sweep_scenario(config, "n_nodes", [1.0, 9.0], outdir=tmp_path / "sweep")
+        assert code == 2
+        out = capsys.readouterr().out
+        assert "config error: n_nodes=1: need T > 0, dt > 0 and n_nodes >= 2" in out
+        assert "sweep n_nodes=9: exit 0" in out
+
+    @pytest.mark.parametrize("rate", [-1000.0, -36.0])
+    def test_forcing_overflow_exits_4(self, tmp_path, capsys, rate):
+        # -1000 overflows math.exp inside the load vector, -36 overflows
+        # g0(t)**2 in the forcing magnitude sigma
+        text = REFERENCE_CONFIG.replace(
+            "forcing = none", f"forcing = boundary_exp\nforcing_rate = {rate}")
+        config = write_config(tmp_path, text)
+        assert main(["run", str(config), "--outdir", str(tmp_path / "o")]) == 4
+        assert "solver error" in capsys.readouterr().out
 
     def test_outdir_env_override(self, tmp_path, monkeypatch):
         config = write_config(tmp_path, SMALL_RUN)
