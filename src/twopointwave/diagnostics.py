@@ -31,7 +31,8 @@ from .errors import (
     InsufficientDataError,
     TooFewSamplesError,
 )
-from .galerkin import Forcing, GalerkinSystem, integrate_f_squared
+from .galerkin import (Forcing, GalerkinSystem, apply_rows, integrate_f_squared,
+                       norm_1_sq, norm_a_sq)
 from .integrate import Trajectory
 from .params import DerivedConstants, ProblemParams
 
@@ -132,20 +133,21 @@ def _functionals(sys: GalerkinSystem, p: ProblemParams, C: np.ndarray, V: np.nda
     """E, psi and ||u'||^2 + ||u||_1^2 of each state row (C[n], V[n]).
 
     Each of the five quadratic forms v'Mv, c'Ac, c'Mc, c'Mv and c'Sc is
-    evaluated once per row, BLOCK_ROWS rows at a time.
+    evaluated once per row, BLOCK_ROWS rows at a time; c'Ac and u(0)^2 + c'Sc
+    are the package's ``norm_a_sq`` and ``norm_1_sq``.
     """
     E, psi_, norms = np.empty(len(C)), np.empty(len(C)), np.empty(len(C))
     for start in range(0, len(C), BLOCK_ROWS):
         b = slice(start, start + BLOCK_ROWS)
         c, v = C[b], V[b]
-        cM = c @ sys.M
-        vMv = np.einsum("ni,ni->n", v @ sys.M, v)
-        cMc = np.einsum("ni,ni->n", cM, c)
+        Mc = apply_rows(sys.M, c)
+        vMv = np.einsum("ni,ni->n", apply_rows(sys.M, v), v)
+        cMc = np.einsum("ni,ni->n", Mc, c)
         u0, u1 = c @ sys.trace0, c @ sys.trace1
-        E[b] = 0.5 * vMv + 0.5 * np.einsum("ni,ni->n", c @ sys.A, c) + 0.5 * p.K * cMc
-        psi_[b] = (np.einsum("ni,ni->n", cM, v) + 0.5 * p.lam * cMc
+        E[b] = 0.5 * vMv + 0.5 * norm_a_sq(sys, c) + 0.5 * p.K * cMc
+        psi_[b] = (np.einsum("ni,ni->n", Mc, v) + 0.5 * p.lam * cMc
                    + 0.5 * p.lam0 * u0**2 + 0.5 * p.lam1 * u1**2)
-        norms[b] = vMv + (u0**2 + np.einsum("ni,ni->n", c @ sys.S, c))
+        norms[b] = vMv + norm_1_sq(sys, c)
     return E, psi_, norms
 
 

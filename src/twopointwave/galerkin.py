@@ -13,8 +13,11 @@ reproduces the weak form of the problem term for term:
     B = ht1*tr0 tr1^T + ht0*tr1 tr0^T          (displacement cross-coupling)
     F_j(t) = -g0(t) w_j(0) - g1(t) w_j(1) + <f(., t), w_j>
 
-Matrices are dense: desk-scale dimensions, and the rank-2 boundary
-couplings break pure tridiagonality anyway.
+Operators are ``scipy.sparse`` CSR arrays with O(m) stored entries: M and S
+are tridiagonal, summed from the 2x2 element matrices, and the boundary
+terms A - S, D and B live only on the four corners (0, 0), (0, m-1),
+(m-1, m-1) and (m-1, 0).  Corners are added, never assigned: at two nodes
+(0, 1) and (1, 0) are also the off-diagonals of M and S.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.sparse import coo_array, csr_array
 
 from .errors import DimensionError, MeshError
 from .params import ProblemParams
@@ -81,7 +85,7 @@ ZERO_FORCING = Forcing()
 
 @dataclass
 class GalerkinSystem:
-    """Assembled matrices of the semi-discrete system.
+    """Assembled operators of the semi-discrete system, as sparse arrays.
 
     C_mat = lam*M + D and K_mat = A + K*M + B are cached because every time
     step uses them.
@@ -89,15 +93,15 @@ class GalerkinSystem:
 
     mesh: Mesh
     p: ProblemParams
-    M: np.ndarray
-    S: np.ndarray
-    A: np.ndarray
-    D: np.ndarray
-    B: np.ndarray
+    M: csr_array
+    S: csr_array
+    A: csr_array
+    D: csr_array
+    B: csr_array
     trace0: np.ndarray
     trace1: np.ndarray
-    C_mat: np.ndarray = field(repr=False, default=None)
-    K_mat: np.ndarray = field(repr=False, default=None)
+    C_mat: csr_array = field(repr=False, default=None)
+    K_mat: csr_array = field(repr=False, default=None)
     quad_x: np.ndarray = field(repr=False, default=None)
 
     @property
@@ -118,50 +122,34 @@ def assemble(mesh: Mesh, p: ProblemParams) -> GalerkinSystem:
         raise MeshError("mesh is not uniform")
 
     h = mesh.h
-    M = np.zeros((n, n))
-    S = np.zeros((n, n))
-    idx = np.arange(n)
-    M[idx, idx] = 2.0 * h / 3.0
-    M[0, 0] = M[-1, -1] = h / 3.0
-    M[idx[:-1], idx[:-1] + 1] = h / 6.0
-    M[idx[:-1] + 1, idx[:-1]] = h / 6.0
-    S[idx, idx] = 2.0 / h
-    S[0, 0] = S[-1, -1] = 1.0 / h
-    S[idx[:-1], idx[:-1] + 1] = -1.0 / h
-    S[idx[:-1] + 1, idx[:-1]] = -1.0 / h
+    # Element e couples nodes e and e+1; COO sums the duplicate entries.
+    e = np.arange(n - 1)
+    rows = np.concatenate([e, e, e + 1, e + 1])
+    cols = np.concatenate([e, e + 1, e, e + 1])
 
-    tr0 = np.zeros(n)
-    tr0[0] = 1.0
-    tr1 = np.zeros(n)
-    tr1[-1] = 1.0
+    def elements(diag, off):
+        values = np.repeat([diag, off, off, diag], n - 1)
+        return coo_array((values, (rows, cols)), shape=(n, n)).tocsr()
 
-    A = S + p.h0 * np.outer(tr0, tr0) + p.h1 * np.outer(tr1, tr1)
-    D = (
-        p.lam0 * np.outer(tr0, tr0)
-        + p.lt1 * np.outer(tr0, tr1)
-        + p.lam1 * np.outer(tr1, tr1)
-        + p.lt0 * np.outer(tr1, tr0)
-    )
-    B = p.ht1 * np.outer(tr0, tr1) + p.ht0 * np.outer(tr1, tr0)
+    def corners(c00, c0m, cmm, cm0):
+        return coo_array(([c00, c0m, cmm, cm0], ([0, 0, n - 1, n - 1], [0, n - 1, n - 1, 0])),
+                         shape=(n, n)).tocsr()
+
+    M = elements(h / 3.0, h / 6.0)
+    S = elements(1.0 / h, -1.0 / h)
+    A = S + corners(p.h0, 0.0, p.h1, 0.0)
+    D = corners(p.lam0, p.lt1, p.lam1, p.lt0)
+    B = corners(0.0, p.ht1, 0.0, p.ht0)
+
+    tr0, tr1 = np.zeros((2, n))
+    tr0[0] = tr1[-1] = 1.0
 
     # Global Gauss points, one row per element.
     mids = 0.5 * (mesh.nodes[:-1] + mesh.nodes[1:])
     quad_x = mids[:, None] + 0.5 * h * _GAUSS_X[None, :]
 
-    return GalerkinSystem(
-        mesh=mesh,
-        p=p,
-        M=M,
-        S=S,
-        A=A,
-        D=D,
-        B=B,
-        trace0=tr0,
-        trace1=tr1,
-        C_mat=p.lam * M + D,
-        K_mat=A + p.K * M + B,
-        quad_x=quad_x,
-    )
+    return GalerkinSystem(mesh=mesh, p=p, M=M, S=S, A=A, D=D, B=B, trace0=tr0, trace1=tr1,
+                          C_mat=p.lam * M + D, K_mat=A + p.K * M + B, quad_x=quad_x)
 
 
 def _quad_values(f: Callable, quad_x: np.ndarray, t: float) -> np.ndarray:
@@ -193,28 +181,41 @@ def integrate_f_squared(sys: GalerkinSystem, f: Callable, t: float) -> float:
 
 
 def _check_dim(sys: GalerkinSystem, c: np.ndarray) -> np.ndarray:
+    """``c`` as a float array of vectors of length m along its last axis.
+
+    The three norms below take one vector or a stack of shape (..., m), and
+    return one value per vector.
+    """
     c = np.asarray(c, dtype=float)
-    if c.shape != (sys.m,):
-        raise DimensionError(f"expected vector of length {sys.m}, got shape {c.shape}")
+    if c.shape[-1:] != (sys.m,):
+        raise DimensionError(f"expected vectors of length {sys.m}, got shape {c.shape}")
     return c
 
 
-def norm_1_sq(sys: GalerkinSystem, c: np.ndarray) -> float:
+def apply_rows(Q, c: np.ndarray) -> np.ndarray:
+    """Q x for every vector x along the last axis of ``c``."""
+    return (Q @ c.reshape(-1, c.shape[-1]).T).T.reshape(c.shape)
+
+
+def _quadratic_form(Q, c: np.ndarray):
+    return np.einsum("...i,...i->...", apply_rows(Q, c), c)
+
+
+def norm_1_sq(sys: GalerkinSystem, c: np.ndarray):
     """Squared boundary-anchored H1 norm: v(0)^2 + ||v_x||^2."""
     c = _check_dim(sys, c)
-    return float((c @ sys.trace0) ** 2 + c @ sys.S @ c)
+    return (c @ sys.trace0) ** 2 + _quadratic_form(sys.S, c)
 
 
-def norm_a_sq(sys: GalerkinSystem, c: np.ndarray) -> float:
+def norm_a_sq(sys: GalerkinSystem, c: np.ndarray):
     """Squared energy norm of the boundary-augmented bilinear form."""
     c = _check_dim(sys, c)
-    return float(c @ sys.A @ c)
+    return _quadratic_form(sys.A, c)
 
 
-def sup_norm(sys: GalerkinSystem, c: np.ndarray) -> float:
+def sup_norm(sys: GalerkinSystem, c: np.ndarray):
     """Exact sup norm of the piecewise-linear function: max over node values."""
-    c = _check_dim(sys, c)
-    return float(np.max(np.abs(c)))
+    return np.max(np.abs(_check_dim(sys, c)), axis=-1)
 
 
 def error_norms(sys: GalerkinSystem, c: np.ndarray, u_ref, ux_ref) -> tuple[float, float]:
@@ -223,9 +224,11 @@ def error_norms(sys: GalerkinSystem, c: np.ndarray, u_ref, ux_ref) -> tuple[floa
     ``u_ref``/``ux_ref`` are x-callables (already bound at the comparison
     time); the element Gauss rule integrates the squared differences.
     """
-    c = _check_dim(sys, c)
+    c = np.asarray(c, dtype=float)
+    if c.shape != (sys.m,):
+        raise DimensionError(f"expected a vector of length {sys.m}, got shape {c.shape}")
     h = sys.mesh.h
-    uh = np.outer(c[:-1], _SHAPE_LEFT) + np.outer(c[1:], _SHAPE_RIGHT)
+    uh = c[:-1, None] * _SHAPE_LEFT + c[1:, None] * _SHAPE_RIGHT
     uhx = np.repeat(((c[1:] - c[:-1]) / h)[:, None], len(_GAUSS_W), axis=1)
     ue = np.broadcast_to(np.asarray(u_ref(sys.quad_x), dtype=float), sys.quad_x.shape)
     uex = np.broadcast_to(np.asarray(ux_ref(sys.quad_x), dtype=float), sys.quad_x.shape)

@@ -2,17 +2,17 @@
 
 The production scheme is the implicit midpoint rule: A-stable, second order,
 and it conserves the quadratic energy exactly in the undamped limit, which
-gives a free correctness probe.  A classical RK4 integrator at tiny
-dimension serves as an independent brute-force oracle.
+gives a free correctness probe.  scipy's DOP853 at tight tolerances, at tiny
+dimension, serves as an independent oracle.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.sparse import csc_array
+from scipy.sparse.linalg import splu
 
 from .errors import DimensionError, SingularMatrixError
 from .galerkin import Forcing, GalerkinSystem, Mesh, load_vector
@@ -63,7 +63,8 @@ class MidpointStepper:
 
         (M + dt/2*C_mat + dt^2/4*K_mat) vm = M v_n + dt/2*(F(t+dt/2) - K_mat c_n)
 
-    and then c_{n+1} = c_n + dt*vm, v_{n+1} = 2*vm - v_n.
+    and then c_{n+1} = c_n + dt*vm, v_{n+1} = 2*vm - v_n.  The iteration
+    matrix is factored by SuperLU.
     """
 
     def __init__(self, sys: GalerkinSystem, dt: float):
@@ -71,22 +72,20 @@ class MidpointStepper:
             raise ValueError(f"dt must be positive, got {dt}")
         self.sys = sys
         self.dt = dt
-        iteration_matrix = sys.M + 0.5 * dt * sys.C_mat + 0.25 * dt * dt * sys.K_mat
-        with warnings.catch_warnings():
-            # singularity is detected on the factor's diagonal below and
-            # reported as SingularMatrixError
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(iteration_matrix, check_finite=False)
-        diag = np.abs(np.diag(lu))
+        iteration_matrix = csc_array(sys.M + 0.5 * dt * sys.C_mat + 0.25 * dt * dt * sys.K_mat)
+        try:
+            self._lu = splu(iteration_matrix)
+        except RuntimeError as exc:  # an exactly singular matrix
+            raise SingularMatrixError(dt, str(exc)) from exc
+        diag = np.abs(self._lu.U.diagonal())
         if not np.all(np.isfinite(diag)) or np.min(diag) <= 1e-14 * max(np.max(diag), 1.0):
             raise SingularMatrixError(dt)
-        self._lu = (lu, piv)
 
     def step(self, forcing: Forcing, c: np.ndarray, v: np.ndarray, t: float):
         dt = self.dt
         sys = self.sys
         rhs = sys.M @ v + 0.5 * dt * (load_vector(sys, forcing, t + 0.5 * dt) - sys.K_mat @ c)
-        vm = scipy.linalg.lu_solve(self._lu, rhs, check_finite=False)
+        vm = self._lu.solve(rhs)
         return c + dt * vm, 2.0 * vm - v
 
 
@@ -111,6 +110,15 @@ def _resolve_steps(T: float, dt: float) -> int:
     if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
         raise ValueError(f"T={T} is not an integral multiple of dt={dt}")
     return n_steps
+
+
+def _start(sys: GalerkinSystem, c0, v0, T: float, dt: float, t0: float):
+    """Checked initial vectors and the sample times t0 + k*dt, k = 0..T/dt."""
+    times = t0 + dt * np.arange(_resolve_steps(T, dt) + 1)
+    c0, v0 = np.asarray(c0, dtype=float), np.asarray(v0, dtype=float)
+    if c0.shape != (sys.m,) or v0.shape != (sys.m,):
+        raise DimensionError(f"initial vectors must have length {sys.m}")
+    return c0, v0, times
 
 
 def _package_trajectory(
@@ -139,28 +147,21 @@ def integrate(
     t0: float = 0.0,
 ) -> Trajectory:
     """Advance the system from (c0, v0) over [t0, t0+T] with fixed step dt."""
-    n_steps = _resolve_steps(T, dt)
+    c0, v0, times = _start(sys, c0, v0, T, dt, t0)
     stepper = MidpointStepper(sys, dt)
-    m = sys.m
-    c0 = np.asarray(c0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    if c0.shape != (m,) or v0.shape != (m,):
-        raise DimensionError(f"initial vectors must have length {m}")
-    C = np.empty((n_steps + 1, m))
-    V = np.empty((n_steps + 1, m))
-    C[0] = c0
-    V[0] = v0
-    times = t0 + dt * np.arange(n_steps + 1)
+    C = np.empty((len(times), sys.m))
+    V = np.empty((len(times), sys.m))
+    C[0], V[0] = c0, v0
     c, v = C[0], V[0]
-    for n in range(n_steps):
+    for n in range(len(times) - 1):
         c, v = stepper.step(forcing, c, v, times[n])
         C[n + 1] = c
         V[n + 1] = v
     return _package_trajectory(sys, times, C, V, dt)
 
 
-# The oracle is meant for tiny cross-check systems only; beyond this size the
-# explicit inverse and the step count stop being sensible.
+# The oracle is meant for tiny cross-check systems only; it works on dense
+# copies of the operators.
 ORACLE_MAX_DIM = 8
 
 
@@ -173,41 +174,27 @@ def oracle_integrate(
     dt: float,
     t0: float = 0.0,
 ) -> Trajectory:
-    """Classical explicit RK4 on the first-order form, for validation only."""
+    """DOP853 (rtol 1e-12, atol 1e-14) on the first-order form, sampled every
+    dt, for validation only.  A failed solve raises ArithmeticError."""
+    import scipy.integrate  # here, not at the top: it adds 0.2 s to the package import
+
     m = sys.m
     if m > ORACLE_MAX_DIM:
         raise DimensionError(f"oracle supports m <= {ORACLE_MAX_DIM}, got {m}")
-    n_steps = _resolve_steps(T, dt)
-    c0 = np.asarray(c0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    if c0.shape != (m,) or v0.shape != (m,):
-        raise DimensionError(f"initial vectors must have length {m}")
-    Minv = np.linalg.inv(sys.M)
-    A = np.zeros((2 * m, 2 * m))
-    A[:m, m:] = np.eye(m)
-    A[m:, :m] = -Minv @ sys.K_mat
-    A[m:, m:] = -Minv @ sys.C_mat
-
+    c0, v0, times = _start(sys, c0, v0, T, dt, t0)
+    M = sys.M.toarray()
+    G = np.block([[np.zeros((m, m)), np.eye(m)],
+                  [-np.linalg.solve(M, np.hstack([sys.K_mat.toarray(), sys.C_mat.toarray()]))]])
     homogeneous = forcing.f is None and forcing.g0 is None and forcing.g1 is None
 
-    def rhs(z, t):
-        dz = A @ z
+    def rhs(t, z):
+        dz = G @ z
         if not homogeneous:
-            dz[m:] += Minv @ load_vector(sys, forcing, t)
+            dz[m:] += np.linalg.solve(M, load_vector(sys, forcing, t))
         return dz
 
-    Z = np.empty((n_steps + 1, 2 * m))
-    Z[0, :m] = c0
-    Z[0, m:] = v0
-    times = t0 + dt * np.arange(n_steps + 1)
-    z = Z[0].copy()
-    half = 0.5 * dt
-    for n in range(n_steps):
-        t = times[n]
-        k1 = rhs(z, t)
-        k2 = rhs(z + half * k1, t + half)
-        k3 = rhs(z + half * k2, t + half)
-        k4 = rhs(z + dt * k3, t + dt)
-        z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        Z[n + 1] = z
-    return _package_trajectory(sys, times, Z[:, :m].copy(), Z[:, m:].copy(), dt)
+    sol = scipy.integrate.solve_ivp(rhs, (times[0], times[-1]), np.concatenate([c0, v0]),
+                                    method="DOP853", t_eval=times, rtol=1e-12, atol=1e-14)
+    if not sol.success:
+        raise ArithmeticError(f"oracle integration failed: {sol.message}")
+    return _package_trajectory(sys, times, sol.y[:m].T.copy(), sol.y[m:].T.copy(), dt)

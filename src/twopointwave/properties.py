@@ -86,57 +86,46 @@ def quadratic_form_suite(seed: int, n_points: int = 10_000, n_param_sets: int = 
         gap = floor * scale - quadratic_form_lhs(p, x, y)
         margin = gap / np.maximum(scale, 1.0)
         checked += per_set
-        violations += int(np.sum(margin > REL_TOL))
+        violations += int(np.count_nonzero(~(margin <= REL_TOL)))
         worst = max(worst, float(margin.max()))
     return PropertyReport("boundary damping form lower bound", checked, violations, worst)
+
+
+def _vector_suite(name, seed, n_vectors, mesh_sizes, gap_and_scale) -> PropertyReport:
+    """Draw one (per_mesh, n) block of random vectors per mesh size and count
+    the vectors with gap > REL_TOL*scale (or a NaN gap), where ``gap_and_scale``
+    maps the system and the block to both arrays."""
+    rng = np.random.default_rng(seed)
+    per_mesh = -(-n_vectors // len(mesh_sizes))
+    violations = 0
+    worst = -np.inf
+    for n in mesh_sizes:
+        sys = assemble(uniform_mesh(n), random_admissible_params(rng))
+        gap, scale = gap_and_scale(sys, rng.uniform(-10.0, 10.0, (per_mesh, n)))
+        worst = max(worst, float(np.max(gap / scale)))
+        violations += int(np.count_nonzero(~(gap <= REL_TOL * scale)))
+    return PropertyReport(name, per_mesh * len(mesh_sizes), violations, worst)
 
 
 def norm_equivalence_suite(
     seed: int, n_vectors: int = 10_000, mesh_sizes: tuple[int, ...] = _MESH_SIZES
 ) -> PropertyReport:
-    rng = np.random.default_rng(seed)
-    per_mesh = -(-n_vectors // len(mesh_sizes))
-    checked = 0
-    violations = 0
-    worst = -np.inf
-    for n in mesh_sizes:
-        p = random_admissible_params(rng)
-        sys = assemble(uniform_mesh(n), p)
-        dc = derive_constants(p)
-        C0, C1 = dc.C0, dc.C1
-        for _ in range(per_mesh):
-            c = rng.uniform(-10.0, 10.0, n)
-            n1 = norm_1_sq(sys, c)
-            na = norm_a_sq(sys, c)
-            tol = REL_TOL * max(n1, 1.0)
-            gap = max(C0 * n1 - na, na - C1 * n1)
-            worst = max(worst, gap / max(n1, 1.0))
-            checked += 1
-            if gap > tol:
-                violations += 1
-    return PropertyReport("norm equivalence", checked, violations, worst)
+    def gap_and_scale(sys, c):
+        dc = derive_constants(sys.p)
+        n1, na = norm_1_sq(sys, c), norm_a_sq(sys, c)
+        return np.maximum(dc.C0 * n1 - na, na - dc.C1 * n1), np.maximum(n1, 1.0)
+
+    return _vector_suite("norm equivalence", seed, n_vectors, mesh_sizes, gap_and_scale)
 
 
 def sup_embedding_suite(
     seed: int, n_vectors: int = 10_000, mesh_sizes: tuple[int, ...] = _MESH_SIZES
 ) -> PropertyReport:
-    rng = np.random.default_rng(seed)
-    per_mesh = -(-n_vectors // len(mesh_sizes))
-    checked = 0
-    violations = 0
-    worst = -np.inf
-    for n in mesh_sizes:
-        p = random_admissible_params(rng)
-        sys = assemble(uniform_mesh(n), p)
-        for _ in range(per_mesh):
-            c = rng.uniform(-10.0, 10.0, n)
-            bound = np.sqrt(2.0 * norm_1_sq(sys, c))
-            gap = sup_norm(sys, c) - bound
-            worst = max(worst, gap / max(bound, 1.0))
-            checked += 1
-            if gap > REL_TOL * max(bound, 1.0):
-                violations += 1
-    return PropertyReport("sup-norm embedding", checked, violations, worst)
+    def gap_and_scale(sys, c):
+        bound = np.sqrt(2.0 * norm_1_sq(sys, c))
+        return sup_norm(sys, c) - bound, np.maximum(bound, 1.0)
+
+    return _vector_suite("sup-norm embedding", seed, n_vectors, mesh_sizes, gap_and_scale)
 
 
 def run_property_suites(seed: int, n: int = 10_000) -> list[PropertyReport]:

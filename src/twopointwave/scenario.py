@@ -45,9 +45,10 @@ from .diagnostics import (
     fit_decay_rate,
     record_trajectory,
 )
-from .errors import ConfigError, InsufficientDataError, SingularMatrixError
+from .errors import (ConfigError, DomainError, InfeasibleError, InsufficientDataError,
+                     SingularMatrixError)
 from .galerkin import Forcing, assemble, error_norms, uniform_mesh
-from .integrate import integrate, oracle_integrate, project_initial_data
+from .integrate import _resolve_steps, integrate, oracle_integrate, project_initial_data
 from .manufactured import FORM_NAMES, manufacture
 from .params import ProblemParams, derive_constants, validate_params
 
@@ -220,6 +221,10 @@ def _validate(scn: Scenario, where) -> None:
     """Cross-field consistency; also applied to the patched scenarios of a sweep."""
     if scn.T <= 0 or scn.dt <= 0 or scn.n_nodes < 2:
         raise ConfigError(f"{where}: need T > 0, dt > 0 and n_nodes >= 2")
+    try:
+        _resolve_steps(scn.T, scn.dt)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
     if "ladder" in scn.checks and scn.manufactured is None:
         raise ConfigError(f"{where}: the ladder check needs a manufactured scenario")
     if "oracle" in scn.checks and scn.n_nodes > 8:
@@ -392,7 +397,11 @@ def execute(scn: Scenario, outdir) -> int:
         return 3
     dc = None
     if verdict.accepted:
-        dc = derive_constants(scn.params, eps1=scn.eps1, eps2=scn.eps2, delta=scn.delta)
+        try:
+            dc = derive_constants(scn.params, eps1=scn.eps1, eps2=scn.eps2, delta=scn.delta)
+        except (DomainError, InfeasibleError) as exc:  # an eps1/eps2/delta override
+            print(f"config error: {exc}")
+            return 2
 
     mesh = uniform_mesh(scn.n_nodes)
     sys = assemble(mesh, scn.params)

@@ -141,7 +141,8 @@ def resolved_initial_state(sys, c0, v0):
     the asymptotic decay rate of their energy.
     """
     m = sys.m
-    MinvKC = scipy.linalg.solve(sys.M, np.hstack([sys.K_mat, sys.C_mat]))
+    MinvKC = scipy.linalg.solve(sys.M.toarray(),
+                                np.hstack([sys.K_mat.toarray(), sys.C_mat.toarray()]))
     G = np.block([[np.zeros((m, m)), np.eye(m)], [-MinvKC]])
     omega_max = np.max(np.abs(np.linalg.eigvals(G).imag))
     cutoff = 0.5 * omega_max
@@ -257,8 +258,8 @@ def test_criterion_9_energy_conservation_control():
     )
     traj = integrate(sys, Forcing(), c0, v0, T=10.0, dt=1e-3)  # 10^4 steps
     C, V = traj.coeffs, traj.velocities
-    E = (0.5 * np.einsum("ni,ij,nj->n", V, sys.M, V)
-         + 0.5 * np.einsum("ni,ij,nj->n", C, sys.A, C))
+    E = (0.5 * np.einsum("ni,ij,nj->n", V, sys.M.toarray(), V)
+         + 0.5 * np.einsum("ni,ij,nj->n", C, sys.A.toarray(), C))
     drift = float(np.max(np.abs(E - E[0])) / E[0])
     ok = drift <= 1e-10
     announce(9, "energy conservation control", ok,

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from twopointwave import (
     Forcing,
@@ -17,22 +18,62 @@ from twopointwave.properties import random_admissible_params
 
 P = ProblemParams(h0=1.0, h1=0.0, lam0=1.0, lam1=1.0, ht0=0.0, ht1=0.0,
                   lt0=0.0, lt1=0.0, K=1.0, lam=1.0)
+# every constant nonzero and distinct, so no corner term can hide another
+DISTINCT = ProblemParams(h0=1.3, h1=0.45, lam0=0.8, lam1=1.7, ht0=0.21, ht1=-0.37,
+                         lt0=0.55, lt1=-0.12, K=0.9, lam=0.65)
+
+
+def dense_closed_form(n, p):
+    """The operators written out entry by entry from the weak form."""
+    h = 1.0 / (n - 1)
+    M = np.zeros((n, n))
+    S = np.zeros((n, n))
+    for e in range(n - 1):
+        for i in (e, e + 1):
+            for j in (e, e + 1):
+                M[i, j] += h / 3.0 if i == j else h / 6.0
+                S[i, j] += 1.0 / h if i == j else -1.0 / h
+    last = n - 1
+    A = S.copy()
+    A[0, 0] += p.h0
+    A[last, last] += p.h1
+    D = np.zeros((n, n))
+    D[0, 0] += p.lam0
+    D[0, last] += p.lt1
+    D[last, last] += p.lam1
+    D[last, 0] += p.lt0
+    B = np.zeros((n, n))
+    B[0, last] += p.ht1
+    B[last, 0] += p.ht0
+    return dict(M=M, S=S, A=A, D=D, B=B, C_mat=p.lam * M + D, K_mat=A + p.K * M + B)
+
+
+@pytest.mark.parametrize("n", [2, 3, 9])
+def test_sparse_assembly_matches_dense_closed_form(n):
+    # at n = 2 the corners (0, 1) and (1, 0) are also the off-diagonals
+    sys = assemble(uniform_mesh(n), DISTINCT)
+    for name, expected in dense_closed_form(n, DISTINCT).items():
+        op = getattr(sys, name)
+        assert scipy.sparse.issparse(op), name
+        assert op.nnz <= 3 * n + 2, name
+        np.testing.assert_allclose(op.toarray(), expected, rtol=1e-14, atol=1e-14,
+                                   err_msg=name)
 
 
 def test_two_node_matrices():
     sys = assemble(uniform_mesh(2), P)
-    np.testing.assert_allclose(sys.M, [[1 / 3, 1 / 6], [1 / 6, 1 / 3]], atol=1e-15)
-    np.testing.assert_allclose(sys.S, [[1, -1], [-1, 1]], atol=1e-15)
-    np.testing.assert_allclose(sys.A, [[2, -1], [-1, 1]], atol=1e-15)
-    np.testing.assert_allclose(sys.D, np.eye(2), atol=1e-15)
+    np.testing.assert_allclose(sys.M.toarray(), [[1 / 3, 1 / 6], [1 / 6, 1 / 3]], atol=1e-15)
+    np.testing.assert_allclose(sys.S.toarray(), [[1, -1], [-1, 1]], atol=1e-15)
+    np.testing.assert_allclose(sys.A.toarray(), [[2, -1], [-1, 1]], atol=1e-15)
+    np.testing.assert_allclose(sys.D.toarray(), np.eye(2), atol=1e-15)
 
 
 def test_zero_boundary_constants_give_zero_couplings():
     p = ProblemParams(h0=1.0, h1=0.0, lam0=0.0, lam1=0.0, ht0=0.0, ht1=0.0,
                       lt0=0.0, lt1=0.0, K=0.0, lam=0.0)
     sys = assemble(uniform_mesh(9), p)
-    assert np.all(sys.D == 0.0)
-    assert np.all(sys.B == 0.0)
+    assert np.all(sys.D.toarray() == 0.0)
+    assert np.all(sys.B.toarray() == 0.0)
 
 
 def test_mesh_errors():
@@ -47,18 +88,18 @@ def test_neumann_limit_stiffness_has_zero_row_sums():
     p = ProblemParams(h0=0.0, h1=0.0, lam0=1.0, lam1=1.0, ht0=0.0, ht1=0.0,
                       lt0=0.0, lt1=0.0, K=0.0, lam=0.0)
     sys = assemble(uniform_mesh(17), p)
-    np.testing.assert_allclose(sys.A, sys.S, atol=1e-15)
-    np.testing.assert_allclose(sys.S, sys.S.T, atol=1e-15)
-    np.testing.assert_allclose(sys.S.sum(axis=1), 0.0, atol=1e-12)
+    np.testing.assert_allclose(sys.A.toarray(), sys.S.toarray(), atol=1e-15)
+    np.testing.assert_allclose(sys.S.toarray(), sys.S.toarray().T, atol=1e-15)
+    np.testing.assert_allclose(sys.S.toarray().sum(axis=1), 0.0, atol=1e-12)
 
 
 def test_coupling_matrices_have_small_rank():
     p = ProblemParams(h0=1.0, h1=0.5, lam0=1.0, lam1=2.0, ht0=0.3, ht1=-0.2,
                       lt0=0.4, lt1=-0.1, K=1.0, lam=1.0)
     sys = assemble(uniform_mesh(33), p)
-    antisym = 0.5 * (sys.D - sys.D.T)
+    antisym = 0.5 * (sys.D.toarray() - sys.D.toarray().T)
     assert np.linalg.matrix_rank(antisym, tol=1e-12) <= 2
-    assert np.linalg.matrix_rank(sys.B, tol=1e-12) <= 2
+    assert np.linalg.matrix_rank(sys.B.toarray(), tol=1e-12) <= 2
 
 
 class TestLoadVector:
@@ -112,6 +153,20 @@ class TestNorms:
         c = np.ones(5)
         assert norm_1_sq(sys, c) == pytest.approx(1.0)
         assert norm_a_sq(sys, c) == pytest.approx(1.0)  # h0*1 with h1 = 0
+
+    @pytest.mark.parametrize("norm", [norm_1_sq, norm_a_sq, sup_norm])
+    def test_stack_matches_per_vector_values(self, norm):
+        sys = assemble(uniform_mesh(9), DISTINCT)
+        stack = np.random.default_rng(3).uniform(-10.0, 10.0, (6, 9))
+        values = norm(sys, stack)
+        assert values.shape == (6,)
+        per_vector = [norm(sys, c) for c in stack]
+        assert all(isinstance(v, float) for v in per_vector)
+        np.testing.assert_allclose(values, per_vector, rtol=1e-14)
+        np.testing.assert_allclose(norm(sys, stack.reshape(2, 3, 9)),
+                                   values.reshape(2, 3), rtol=1e-14)
+        with pytest.raises(DimensionError):
+            norm(sys, np.zeros((6, 8)))
 
     def test_dimension_mismatch(self):
         sys = assemble(uniform_mesh(4), P)

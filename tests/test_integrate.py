@@ -1,5 +1,14 @@
+import math
+import os
+import subprocess
+import sys as system
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg
+
+import twopointwave
 
 from twopointwave import (
     Forcing,
@@ -13,7 +22,8 @@ from twopointwave import (
     uniform_mesh,
 )
 from twopointwave.errors import DimensionError, SingularMatrixError
-from twopointwave.galerkin import error_norms
+from twopointwave.galerkin import error_norms, load_vector
+from twopointwave.integrate import MidpointStepper
 
 P = ProblemParams(h0=1.0, h1=0.5, lam0=1.0, lam1=1.0, ht0=0.01, ht1=0.01,
                   lt0=0.1, lt1=0.1, K=1.0, lam=1.0)
@@ -86,6 +96,22 @@ class TestStep:
         sys = assemble(uniform_mesh(5), P)
         with pytest.raises(DimensionError):
             step(sys, Forcing(), (np.zeros(4), np.zeros(4)), 0.0, 0.01)
+
+    @pytest.mark.parametrize("n", [2, 65])
+    def test_sparse_step_matches_dense_solve(self, n):
+        p = ProblemParams(h0=1.3, h1=0.45, lam0=0.8, lam1=1.7, ht0=0.21, ht1=-0.37,
+                          lt0=0.55, lt1=-0.12, K=0.9, lam=0.65)
+        sys = assemble(uniform_mesh(n), p)
+        forcing = Forcing(f=lambda x, t: np.sin(3.0 * x + t), g0=math.cos, g1=lambda t: -t)
+        rng = np.random.default_rng(n)
+        c, v = rng.standard_normal(n), rng.standard_normal(n)
+        dt, t = 1e-2, 0.3
+        M, C, K = sys.M.toarray(), sys.C_mat.toarray(), sys.K_mat.toarray()
+        rhs = M @ v + 0.5 * dt * (load_vector(sys, forcing, t + 0.5 * dt) - K @ c)
+        vm = scipy.linalg.solve(M + 0.5 * dt * C + 0.25 * dt * dt * K, rhs)
+        c1, v1 = MidpointStepper(sys, dt).step(forcing, c, v, t)
+        for got, want in ((c1, c + dt * vm), (v1, 2.0 * vm - v)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_singular_iteration_matrix_reported(self):
         # M + dt^2/4 * K_mat = 0 when K_mat = -4/dt^2 * M
@@ -179,6 +205,26 @@ class TestOracle:
         with pytest.raises(DimensionError):
             oracle_integrate(sys, Forcing(), np.zeros(9), np.zeros(9), T=0.1, dt=1e-3)
 
+    def test_failed_solve_raises_instead_of_truncating(self):
+        sys = assemble(uniform_mesh(2), P)
+        forcing = Forcing(g0=lambda t: math.nan if t > 0.5 else 0.0)
+        with pytest.raises(ArithmeticError, match="oracle integration failed"):
+            oracle_integrate(sys, forcing, np.ones(2), np.zeros(2), T=1.0, dt=1e-2)
+
+    def test_samples_the_requested_grid(self):
+        sys = assemble(uniform_mesh(3), P)
+        c0 = np.array([1.0, 0.5, -1.0])
+        traj = oracle_integrate(sys, Forcing(), c0, np.zeros(3), T=0.5, dt=0.1, t0=2.0)
+        np.testing.assert_array_equal(traj.times, 2.0 + 0.1 * np.arange(6))
+        # homogeneous: the exact flow is expm of the first-order generator
+        M = sys.M.toarray()
+        G = np.block([[np.zeros((3, 3)), np.eye(3)],
+                      [-np.linalg.solve(M, np.hstack([sys.K_mat.toarray(),
+                                                      sys.C_mat.toarray()]))]])
+        exact = scipy.linalg.expm(0.5 * G) @ np.concatenate([c0, np.zeros(3)])
+        np.testing.assert_allclose(traj.coeffs[-1], exact[:3], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(traj.velocities[-1], exact[3:], rtol=0, atol=1e-10)
+
     def test_zero_case(self):
         sys = assemble(uniform_mesh(2), P)
         traj = oracle_integrate(sys, Forcing(), np.zeros(2), np.zeros(2), T=0.5, dt=1e-3)
@@ -203,8 +249,8 @@ class TestOracle:
 
         def energy_of(traj):
             C, V = traj.coeffs, traj.velocities
-            return (0.5 * np.einsum("ni,ij,nj->n", V, sys.M, V)
-                    + 0.5 * np.einsum("ni,ij,nj->n", C, sys.A, C))
+            return (0.5 * np.einsum("ni,ij,nj->n", V, sys.M.toarray(), V)
+                    + 0.5 * np.einsum("ni,ij,nj->n", C, sys.A.toarray(), C))
 
         mid = integrate(sys, Forcing(), c0, v0, T=1.0, dt=1e-2)
         rk = oracle_integrate(sys, Forcing(), c0, v0, T=1.0, dt=1e-3)
@@ -220,3 +266,13 @@ def test_homogeneous_run_never_pumps_lyapunov(ref_run, ref_dc):
     assert np.max(np.diff(gamma)) <= 1e-8 * gamma[0]
     E = np.array([r.E for r in records])
     assert np.max(np.diff(E)) <= 1e-8 * E[0]
+
+
+def test_package_import_does_not_load_scipy_integrate():
+    # the oracle imports it on first use; at import time it would add about
+    # 0.2 s to every command-line call
+    src = Path(twopointwave.__file__).resolve().parents[1]
+    code = "import sys, twopointwave; print('scipy.integrate' in sys.modules)"
+    result = subprocess.run([system.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert result.stdout.strip() == "False"

@@ -264,6 +264,40 @@ class TestCli:
         assert main(["run", str(config), "--outdir", str(tmp_path / "o")]) == 4
         assert "solver error" in capsys.readouterr().out
 
+    def test_horizon_not_a_multiple_of_dt_exits_2(self, tmp_path, capsys):
+        text = SMALL_RUN.replace("T = 1.0", "T = 1.05").replace("dt = 0.01", "dt = 0.1")
+        config = write_config(tmp_path, text)
+        assert main(["run", str(config), "--outdir", str(tmp_path / "o")]) == 2
+        assert "config error" in capsys.readouterr().out
+
+    def test_sweep_over_dt_rejects_a_non_dividing_step(self, tmp_path, capsys):
+        config = write_config(tmp_path, SMALL_RUN)
+        assert main(["sweep", str(config), "--param", "dt", "--values", "0.3", "0.1",
+                     "--outdir", str(tmp_path / "sweep")]) == 2
+        out = capsys.readouterr().out
+        assert "T=1.0 is not an integral multiple of dt=0.3" in out
+        assert "sweep dt=0.3: exit 2" in out
+        assert "sweep dt=0.1: exit 0" in out
+
+    def test_out_of_range_delta_exits_2_without_artifacts(self, tmp_path, capsys):
+        config = write_config(tmp_path, SMALL_RUN + "delta = 5.0\n")
+        out = tmp_path / "o"
+        assert main(["run", str(config), "--outdir", str(out)]) == 2
+        assert "config error: delta must lie in" in capsys.readouterr().out
+        assert list(out.iterdir()) == []
+
+    def test_sweep_reports_inadmissible_delta_and_runs_the_rest(self, tmp_path, capsys):
+        # delta = 0.3 needs lam - eps1/C0 > 0.3: true at lam = 1, false at lam = 0.2
+        config = write_config(tmp_path, SMALL_RUN + "delta = 0.3\n")
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(config), "--param", "lam", "--values", "0.2", "1.0",
+                     "--outdir", str(out)]) == 2
+        printed = capsys.readouterr().out
+        assert "sweep lam=0.2: exit 2" in printed
+        assert "sweep lam=1: exit 0" in printed
+        assert not (out / "lam_0.2" / "energy.csv").exists()
+        assert (out / "lam_1" / "energy.csv").exists()
+
     def test_outdir_env_override(self, tmp_path, monkeypatch):
         config = write_config(tmp_path, SMALL_RUN)
         target = tmp_path / "env_out"
