@@ -12,6 +12,7 @@ import sys
 from .errors import ConfigError
 from .properties import run_property_suites
 from .scenario import (
+    SOLVER_ERRORS,
     convergence_study,
     parse_scenario,
     resolve_outdir,
@@ -63,6 +64,9 @@ def main(argv=None) -> int:
         except ConfigError as exc:
             print(f"config error: {exc}")
             return 2
+        except SOLVER_ERRORS as exc:
+            print(f"solver error: {exc}")
+            return 4
         out = resolve_outdir(args.config, args.outdir)
         write_convergence_csv(out / "convergence.csv", rows)
         print(f"{'n_nodes':>8} {'dt':>12} {'L2_error':>12} {'H1_error':>12} "

@@ -31,8 +31,8 @@ from .errors import (
     InsufficientDataError,
     TooFewSamplesError,
 )
-from .galerkin import (Forcing, GalerkinSystem, apply_rows, integrate_f_squared,
-                       norm_1_sq, norm_a_sq)
+from .galerkin import (_GAUSS_W, Forcing, GalerkinSystem, apply_rows, boundary_values,
+                       norm_1_sq, norm_a_sq, quad_values, time_blocks)
 from .integrate import Trajectory
 from .params import DerivedConstants, ProblemParams
 
@@ -176,16 +176,25 @@ def lyapunov(sys: GalerkinSystem, p: ProblemParams, dc: DerivedConstants, c, v) 
     return E + dc.delta * psi_
 
 
-def sigma_forcing(forcing: Forcing, sys: GalerkinSystem, t: float) -> float:
-    """Forcing magnitude ||f(t)||^2 + g0(t)^2 + g1(t)^2."""
-    total = 0.0
+def sigma_forcing(forcing: Forcing, sys: GalerkinSystem, t):
+    """Forcing magnitude ||f(t)||^2 + g0(t)^2 + g1(t)^2.
+
+    ``t`` is one time, giving a float, or a 1-d array of times, giving one
+    value per time; ||f(t)||^2 is the Gauss quadrature over blocks of times
+    (``time_blocks``).  The boundary values are squared as Python floats, so
+    an overflow raises OverflowError instead of giving inf.
+    """
+    t = np.asarray(t, dtype=float)
+    times = np.atleast_1d(t)
+    total = np.zeros(len(times))
     if forcing.f is not None:
-        total += integrate_f_squared(sys, forcing.f, t)
-    if forcing.g0 is not None:
-        total += float(forcing.g0(t)) ** 2
-    if forcing.g1 is not None:
-        total += float(forcing.g1(t)) ** 2
-    return total
+        for b in time_blocks(sys, len(times)):
+            fe = quad_values(forcing.f, sys.quad_x, times[b])
+            total[b] = (0.5 * sys.mesh.h) * np.sum(fe**2 @ _GAUSS_W, axis=-1)
+    for g in (forcing.g0, forcing.g1):
+        if g is not None:
+            total += [v**2 for v in boundary_values(g, times).tolist()]
+    return float(total[0]) if t.ndim == 0 else total
 
 
 def record_trajectory(
@@ -203,10 +212,7 @@ def record_trajectory(
     t = traj.times
     E, psi_all, norms = _functionals(sys, p, traj.coeffs, traj.velocities)
     delta = 0.0 if dc is None else dc.delta
-    if forcing.f is None and forcing.g0 is None and forcing.g1 is None:
-        sigma = np.zeros_like(t)
-    else:
-        sigma = np.array([sigma_forcing(forcing, sys, ti) for ti in t])
+    sigma = sigma_forcing(forcing, sys, t)
     X = norms + traj.accumulators[:, 0] + traj.accumulators[:, 1]
     return EnergyRecords(t=t, E=E, psi=psi_all, Gamma=E + delta * psi_all, sigma=sigma, X=X)
 

@@ -71,8 +71,12 @@ def uniform_mesh(n_nodes: int) -> Mesh:
 class Forcing:
     """Interior load f(x, t) plus boundary data g0(t), g1(t).
 
-    ``f`` must accept numpy arrays in its first argument; ``None`` for any
-    component means identically zero (and skips its quadrature).
+    ``f`` must broadcast over both arguments: it is called with the Gauss
+    points, shape (n-1, 3), and a block of k times, shape (k, 1, 1) (a scalar
+    for one time), and its value must broadcast to (k, n-1, 3).  ``g0`` and
+    ``g1`` are called with one time at a time, so a ``math.exp`` closure will
+    do, and an overflow there still raises.  ``None`` for any component means
+    identically zero (and skips its work).
     """
 
     f: Callable | None = None
@@ -152,32 +156,54 @@ def assemble(mesh: Mesh, p: ProblemParams) -> GalerkinSystem:
                           C_mat=p.lam * M + D, K_mat=A + p.K * M + B, quad_x=quad_x)
 
 
-def _quad_values(f: Callable, quad_x: np.ndarray, t: float) -> np.ndarray:
-    vals = np.asarray(f(quad_x, t), dtype=float)
-    if vals.shape != quad_x.shape:
-        vals = np.broadcast_to(vals, quad_x.shape)
-    return vals
+# Gauss-point values of f per block of times in the batched quadrature:
+# bounds each temporary to 256 KB, whatever the number of times.
+BLOCK_VALUES = 32768
 
 
-def load_vector(sys: GalerkinSystem, forcing: Forcing, t: float) -> np.ndarray:
-    """Right-hand side F(t): boundary data plus quadrature of <f(., t), w_j>."""
-    F = np.zeros(sys.m)
+def time_blocks(sys: GalerkinSystem, n_times: int) -> list[slice]:
+    """Consecutive slices of range(n_times), each holding at most
+    BLOCK_VALUES Gauss-point values of f (at least one time)."""
+    size = max(1, BLOCK_VALUES // sys.quad_x.size)
+    return [slice(start, min(start + size, n_times)) for start in range(0, n_times, size)]
+
+
+def quad_values(f: Callable, quad_x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """f at the Gauss points for every time in t: shape t.shape + quad_x.shape.
+
+    One time (a 0-d ``t``) is passed to f as a scalar, which keeps the
+    per-step calls of ``MidpointStepper.step`` and the oracle cheap.
+    """
+    vals = np.asarray(f(quad_x, t[:, None, None] if t.ndim else t[()]), dtype=float)
+    shape = t.shape + quad_x.shape
+    return vals if vals.shape == shape else np.broadcast_to(vals, shape)
+
+
+def boundary_values(g: Callable, t: np.ndarray) -> np.ndarray:
+    """g at every time in t (0-d or 1-d), called with one time at a time."""
+    if not t.ndim:
+        return np.asarray(float(g(t[()])))
+    return np.array([float(g(s)) for s in t])
+
+
+def load_vector(sys: GalerkinSystem, forcing: Forcing, t) -> np.ndarray:
+    """Right-hand side F(t): boundary data plus quadrature of <f(., t), w_j>.
+
+    ``t`` is one time, giving a vector of length m, or a 1-d array of k
+    times, giving one row per time, shape (k, m).  f is evaluated once for all
+    times; every row equals the load of its time computed alone, bit for bit.
+    """
+    t = np.asarray(t, dtype=float)
+    F = np.zeros(t.shape + (sys.m,))
     if forcing.g0 is not None:
-        F -= float(forcing.g0(t)) * sys.trace0
+        F -= boundary_values(forcing.g0, t)[..., None] * sys.trace0
     if forcing.g1 is not None:
-        F -= float(forcing.g1(t)) * sys.trace1
+        F -= boundary_values(forcing.g1, t)[..., None] * sys.trace1
     if forcing.f is not None:
-        fe = _quad_values(forcing.f, sys.quad_x, t)
-        scaled = (0.5 * sys.mesh.h) * fe * _GAUSS_W
-        F[:-1] += scaled @ _SHAPE_LEFT
-        F[1:] += scaled @ _SHAPE_RIGHT
+        scaled = (0.5 * sys.mesh.h) * quad_values(forcing.f, sys.quad_x, t) * _GAUSS_W
+        F[..., :-1] += scaled @ _SHAPE_LEFT
+        F[..., 1:] += scaled @ _SHAPE_RIGHT
     return F
-
-
-def integrate_f_squared(sys: GalerkinSystem, f: Callable, t: float) -> float:
-    """Quadrature of the squared interior load at time t."""
-    fe = _quad_values(f, sys.quad_x, t)
-    return float((0.5 * sys.mesh.h) * np.sum(fe**2 @ _GAUSS_W))
 
 
 def _check_dim(sys: GalerkinSystem, c: np.ndarray) -> np.ndarray:

@@ -374,6 +374,17 @@ def _write_report(path, scn: Scenario, dc, results, decay_report, overall) -> No
     Path(path).write_text(buf.getvalue())
 
 
+# Failures of a run that exit 4 with a ``solver error:`` line.
+SOLVER_ERRORS = (SingularMatrixError, np.linalg.LinAlgError, ArithmeticError)
+
+
+def _require_finite(what: str, *arrays) -> None:
+    """Raise FloatingPointError, a solver error, on any inf or NaN."""
+    bad = sum(int(np.count_nonzero(~np.isfinite(a))) for a in arrays)
+    if bad:
+        raise FloatingPointError(f"non-finite state: {bad} inf/NaN values in the {what}")
+
+
 def run_scenario(config_path, outdir=None) -> int:
     """Execute one scenario config; writes artifacts and returns the exit code."""
     try:
@@ -413,9 +424,11 @@ def execute(scn: Scenario, outdir) -> int:
     out = Path(outdir)
     try:
         traj = integrate(sys, forcing, c0, v0, scn.T, scn.dt)
+        _require_finite("trajectory", traj.coeffs, traj.velocities)
         records = record_trajectory(traj, sys, scn.params, dc, forcing)
+        _require_finite("energy records", *(getattr(records, k) for k in COLUMNS))
         results, decay_report = _run_checks(scn, sys, dc, forcing, traj, records, ms)
-    except (SingularMatrixError, np.linalg.LinAlgError, ArithmeticError) as exc:
+    except SOLVER_ERRORS as exc:
         print(f"solver error: {exc}")
         return 4
 
@@ -444,6 +457,9 @@ class ConvergenceRow:
 def convergence_study(base: Scenario, levels: int) -> list[ConvergenceRow]:
     """Halve h (and dt with it) per level; errors at final time vs the exact
     manufactured solution, observed orders by log2 ratio of consecutive levels.
+
+    Raises FloatingPointError (one of SOLVER_ERRORS) when a level's errors
+    are not finite.
     """
     if base.manufactured is None:
         raise ConfigError("convergence study needs a manufactured scenario")
@@ -463,6 +479,7 @@ def convergence_study(base: Scenario, levels: int) -> list[ConvergenceRow]:
             sys, traj.coeffs[-1],
             lambda x: ms.u(x, base.T), lambda x: ms.ux(x, base.T),
         )
+        _require_finite(f"errors at n_nodes={n_nodes}", [l2, h1])
         if prev is None:
             l2_order = h1_order = math.nan
         else:

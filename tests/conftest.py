@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from twopointwave import (
     assemble,
     derive_constants,
     integrate,
+    manufacture,
     project_initial_data,
     record_trajectory,
     uniform_mesh,
@@ -44,3 +47,26 @@ def ref_run(ref_system, ref_dc):
     traj = integrate(ref_system, Forcing(), c0, v0, T=10.0, dt=1e-3)
     records = record_trajectory(traj, ref_system, REFERENCE, ref_dc)
     return traj, records
+
+
+def _batch_forcings():
+    """Forcings of every kind the batched load and sigma paths must reproduce
+    bit for bit: the registry forms and their time derivatives, boundary data
+    alone (scalar ``math`` closures), a user ``f`` and no forcing at all."""
+    cases = {}
+    for name in ("decaying_cosine", "decaying_affine", "polynomial"):
+        for k in (0, 1):
+            cases[f"{name}-dt{k}"] = manufacture(name, REFERENCE, 1.3).forcing(k)
+    cases["boundary_only"] = Forcing(g0=math.cos, g1=lambda t: math.exp(-2.0 * t))
+    cases["user_f"] = Forcing(f=lambda x, t: np.sin(3.0 * x + t) * np.exp(-x * t),
+                              g1=lambda t: -t)
+    cases["none"] = Forcing()
+    return cases
+
+
+BATCH_FORCINGS = _batch_forcings()
+
+
+@pytest.fixture(params=sorted(BATCH_FORCINGS))
+def batch_forcing(request):
+    return BATCH_FORCINGS[request.param]

@@ -25,6 +25,7 @@ from twopointwave import (
     uniform_mesh,
     write_energy_csv,
 )
+from twopointwave.galerkin import time_blocks
 from twopointwave.errors import (
     DimensionError,
     InsufficientDataError,
@@ -144,6 +145,31 @@ class TestSigma:
         sys = assemble(uniform_mesh(5), make_params())
         forcing = Forcing(f=lambda x, t: np.ones_like(x))
         assert sigma_forcing(forcing, sys, 0.0) == pytest.approx(1.0)
+
+    def test_array_equals_per_time_values(self, batch_forcing):
+        sys = assemble(uniform_mesh(65), make_params())
+        times = 0.0123 * np.arange(400)
+        assert len(time_blocks(sys, len(times))) > 1
+        sigma = sigma_forcing(batch_forcing, sys, times)
+        assert sigma.shape == times.shape
+        np.testing.assert_array_equal(sigma, [sigma_forcing(batch_forcing, sys, t) for t in times])
+        assert isinstance(sigma_forcing(batch_forcing, sys, 0.5), float)
+
+    def test_boundary_values_are_squared_as_python_floats(self):
+        # float ** 2 and a numpy square differ in the last bit at a few of
+        # these times; sigma keeps the scalar squares it always had
+        sys = assemble(uniform_mesh(5), make_params())
+        times = 1e-3 * np.arange(10001)
+        sigma = sigma_forcing(Forcing(g0=lambda t: math.exp(-t)), sys, times)
+        np.testing.assert_array_equal(sigma, [math.exp(-t) ** 2 for t in times])
+
+    def test_boundary_overflow_raises(self):
+        # g0 stays finite up to t = 2, its square does not
+        sys = assemble(uniform_mesh(5), make_params())
+        forcing = Forcing(g0=lambda t: math.exp(200.0 * t))
+        assert np.all(np.isfinite(sigma_forcing(forcing, sys, np.array([0.0, 1.0]))))
+        with pytest.raises(OverflowError):
+            sigma_forcing(forcing, sys, np.array([0.0, 2.0]))
 
 
 class TestRecordTrajectory:

@@ -102,6 +102,24 @@ def test_coupling_matrices_have_small_rank():
     assert np.linalg.matrix_rank(sys.B.toarray(), tol=1e-12) <= 2
 
 
+class TestBatchedLoadVector:
+    TIMES = np.concatenate([[0.0], 0.0137 * np.arange(1, 300) + 0.5e-3])
+
+    @pytest.mark.parametrize("n", [2, 9, 65])
+    def test_rows_equal_per_time_calls(self, n, batch_forcing):
+        sys = assemble(uniform_mesh(n), DISTINCT)
+        rows = load_vector(sys, batch_forcing, self.TIMES)
+        assert rows.shape == (len(self.TIMES), n)
+        for t, row in zip(self.TIMES, rows):
+            np.testing.assert_array_equal(row, load_vector(sys, batch_forcing, t))
+
+    def test_one_time_gives_one_vector(self, batch_forcing):
+        sys = assemble(uniform_mesh(9), DISTINCT)
+        for t in (0.25, np.float64(0.25), np.array(0.25)):
+            assert load_vector(sys, batch_forcing, t).shape == (9,)
+        assert load_vector(sys, batch_forcing, [0.25]).shape == (1, 9)
+
+
 class TestLoadVector:
     def test_zero_forcing(self):
         sys = assemble(uniform_mesh(5), P)

@@ -16,13 +16,14 @@ from twopointwave import (
     ProblemParams,
     assemble,
     integrate,
+    manufacture,
     oracle_integrate,
     project_initial_data,
     step,
     uniform_mesh,
 )
 from twopointwave.errors import DimensionError, SingularMatrixError
-from twopointwave.galerkin import error_norms, load_vector
+from twopointwave.galerkin import BLOCK_VALUES, error_norms, load_vector, time_blocks
 from twopointwave.integrate import MidpointStepper
 
 P = ProblemParams(h0=1.0, h1=0.5, lam0=1.0, lam1=1.0, ht0=0.01, ht1=0.01,
@@ -197,6 +198,44 @@ class TestIntegrate:
         np.testing.assert_array_equal(traj.traces[:, 1], traj.coeffs[:, -1])
         np.testing.assert_array_equal(traj.traces[:, 2], traj.velocities[:, 0])
         np.testing.assert_array_equal(traj.traces[:, 3], traj.velocities[:, -1])
+
+
+class TestBatchedForcing:
+    """integrate takes its midpoint loads from one load_vector call per block
+    of steps; the result must not differ from stepping one load at a time."""
+
+    T, DT = 0.05, 1e-3  # 50 steps
+
+    @pytest.mark.parametrize("n", [9, 513])
+    def test_integrate_equals_a_loop_of_step(self, n):
+        sys = assemble(uniform_mesh(n), P)
+        steps = round(self.T / self.DT)
+        blocks = time_blocks(sys, steps)
+        if n == 513:  # several blocks, the last one ragged
+            sizes = [b.stop - b.start for b in blocks]
+            assert len(sizes) > 1 and sizes[-1] < sizes[0]
+        ms = manufacture("decaying_cosine", P, 1.0)
+        c0, v0 = project_initial_data(sys.mesh, ms.u0, ms.u1)
+        traj = integrate(sys, ms.forcing(), c0, v0, self.T, self.DT)
+        stepper = MidpointStepper(sys, self.DT)
+        c, v = c0, v0
+        for k in range(steps):
+            c, v = stepper.step(ms.forcing(), c, v, traj.times[k])
+            np.testing.assert_array_equal(traj.coeffs[k + 1], c)
+            np.testing.assert_array_equal(traj.velocities[k + 1], v)
+
+    def test_interior_load_is_evaluated_once_per_block(self):
+        sys = assemble(uniform_mesh(513), P)
+        calls = []
+
+        def f(x, t):
+            calls.append(np.shape(t))
+            return np.sin(3.0 * x + t)
+
+        integrate(sys, Forcing(f=f), np.zeros(513), np.zeros(513), self.T, self.DT)
+        per_block = BLOCK_VALUES // sys.quad_x.size
+        assert len(calls) == math.ceil(50 / per_block) < 50
+        assert calls[0] == (per_block, 1, 1)
 
 
 class TestOracle:

@@ -264,6 +264,27 @@ class TestCli:
         assert main(["run", str(config), "--outdir", str(tmp_path / "o")]) == 4
         assert "solver error" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("checks", ["", "checks = sandwich, differential, decay_fit\n"])
+    def test_non_finite_energy_exits_4(self, tmp_path, capsys, checks):
+        # E = c'Ac overflows from the first sample while the state stays finite
+        text = REFERENCE_CONFIG.replace("initial_amplitude = 1.0", "initial_amplitude = 1e200")
+        text = text.replace("checks = sandwich, differential, decay_fit\n", checks)
+        config = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        assert main(["run", str(config), "--outdir", str(out)]) == 4
+        printed = capsys.readouterr().out
+        assert "solver error: non-finite state" in printed
+        assert "PASS" not in printed and "FAIL" not in printed
+        assert not (out / "energy.csv").exists()
+
+    def test_converge_with_non_finite_errors_exits_4(self, tmp_path, capsys):
+        # the exact solution exp(900 t) cos(pi x) overflows before T = 1
+        config = write_config(tmp_path, MMS_BASE + "alpha = -900\n")
+        out = tmp_path / "o"
+        assert main(["converge", str(config), "--levels", "3", "--outdir", str(out)]) == 4
+        assert "solver error: non-finite state" in capsys.readouterr().out
+        assert not (out / "convergence.csv").exists()
+
     def test_horizon_not_a_multiple_of_dt_exits_2(self, tmp_path, capsys):
         text = SMALL_RUN.replace("T = 1.0", "T = 1.05").replace("dt = 0.01", "dt = 0.1")
         config = write_config(tmp_path, text)
