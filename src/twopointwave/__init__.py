@@ -14,7 +14,6 @@ from .galerkin import (
     Mesh,
     uniform_mesh,
     Forcing,
-    ZERO_FORCING,
     GalerkinSystem,
     assemble,
     load_vector,
@@ -67,6 +66,7 @@ from .scenario import (
     parse_scenario,
     run_scenario,
     convergence_study,
+    converge_scenario,
     sweep_scenario,
     write_energy_csv,
     read_energy_csv,

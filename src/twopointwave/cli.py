@@ -9,17 +9,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigError
 from .properties import run_property_suites
-from .scenario import (
-    SOLVER_ERRORS,
-    convergence_study,
-    parse_scenario,
-    resolve_outdir,
-    run_scenario,
-    sweep_scenario,
-    write_convergence_csv,
-)
+from .scenario import converge_scenario, run_scenario, sweep_scenario
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,24 +49,7 @@ def main(argv=None) -> int:
         return run_scenario(args.config, outdir=args.outdir)
 
     if args.command == "converge":
-        try:
-            scn = parse_scenario(args.config)
-            rows = convergence_study(scn, args.levels)
-        except ConfigError as exc:
-            print(f"config error: {exc}")
-            return 2
-        except SOLVER_ERRORS as exc:
-            print(f"solver error: {exc}")
-            return 4
-        out = resolve_outdir(args.config, args.outdir)
-        write_convergence_csv(out / "convergence.csv", rows)
-        print(f"{'n_nodes':>8} {'dt':>12} {'L2_error':>12} {'H1_error':>12} "
-              f"{'L2_order':>9} {'H1_order':>9}")
-        for r in rows:
-            print(f"{r.n_nodes:8d} {r.dt:12.3e} {r.l2_error:12.4e} {r.h1_error:12.4e} "
-                  f"{r.l2_order:9.3f} {r.h1_order:9.3f}")
-        print(f"artifacts in {out}")
-        return 0
+        return converge_scenario(args.config, args.levels, outdir=args.outdir)
 
     if args.command == "sweep":
         return sweep_scenario(args.config, args.param, args.values, outdir=args.outdir)

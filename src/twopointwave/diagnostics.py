@@ -55,11 +55,6 @@ __all__ = [
 # Samples below this energy are rounding noise; the log fit excludes them.
 ENERGY_FLOOR = 1e-14
 
-# Rows per block of the batched quadratic forms.  Bounds each temporary (and
-# the BLAS packing buffers) to BLOCK_ROWS*m doubles, 1 MB at m = 65, whatever
-# the trajectory length.
-BLOCK_ROWS = 2048
-
 
 @dataclass(frozen=True)
 class EnergyRecord:
@@ -133,12 +128,11 @@ def _functionals(sys: GalerkinSystem, p: ProblemParams, C: np.ndarray, V: np.nda
     """E, psi and ||u'||^2 + ||u||_1^2 of each state row (C[n], V[n]).
 
     Each of the five quadratic forms v'Mv, c'Ac, c'Mc, c'Mv and c'Sc is
-    evaluated once per row, BLOCK_ROWS rows at a time; c'Ac and u(0)^2 + c'Sc
-    are the package's ``norm_a_sq`` and ``norm_1_sq``.
+    evaluated once per row, one ``time_blocks`` block of rows at a time; c'Ac
+    and u(0)^2 + c'Sc are the package's ``norm_a_sq`` and ``norm_1_sq``.
     """
     E, psi_, norms = np.empty(len(C)), np.empty(len(C)), np.empty(len(C))
-    for start in range(0, len(C), BLOCK_ROWS):
-        b = slice(start, start + BLOCK_ROWS)
+    for b in time_blocks(sys, len(C)):
         c, v = C[b], V[b]
         Mc = apply_rows(sys.M, c)
         vMv = np.einsum("ni,ni->n", apply_rows(sys.M, v), v)
@@ -251,23 +245,21 @@ def check_differential_inequality(
     records,
     dc: DerivedConstants,
     refined_records=None,
-    c_dt: float | None = None,
 ) -> DifferentialReport:
     """Count dissipation-inequality violations beyond the dt^2 tolerance.
 
     The tolerance is c_dt*dt^2 + 1e-8; a non-finite margin counts as a
     violation.  When ``refined_records`` (a run of the same scenario at dt/2)
     is given, c_dt is estimated by Richardson comparison of the two worst
-    margins; otherwise ``c_dt`` may be supplied directly and defaults to 0.
+    margins; otherwise it is 0.
     """
     margins, dt = _dissipation_margins(records, dc)
+    c_dt = 0.0
     if refined_records is not None:
         refined_margins, dt_half = _dissipation_margins(refined_records, dc)
         if not math.isclose(dt_half, dt / 2.0, rel_tol=1e-9):
             raise ValueError("refined records must be sampled at dt/2")
         c_dt = abs(float(margins.max()) - float(refined_margins.max())) / (0.75 * dt * dt)
-    elif c_dt is None:
-        c_dt = 0.0
     tol = c_dt * dt * dt + 1e-8
     return DifferentialReport(
         violations=int(np.count_nonzero(~(margins <= tol))),

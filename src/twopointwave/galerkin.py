@@ -84,9 +84,6 @@ class Forcing:
     g1: Callable | None = None
 
 
-ZERO_FORCING = Forcing()
-
-
 @dataclass
 class GalerkinSystem:
     """Assembled operators of the semi-discrete system, as sparse arrays.

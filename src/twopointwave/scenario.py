@@ -27,11 +27,13 @@ failed, 2 config error, 3 decay checks requested on inadmissible params,
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import os
-from dataclasses import astuple, dataclass, replace
+from dataclasses import MISSING, astuple, dataclass, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -58,17 +60,21 @@ __all__ = [
     "run_scenario",
     "execute",
     "convergence_study",
+    "converge_scenario",
     "sweep_scenario",
     "write_energy_csv",
     "read_energy_csv",
     "REFERENCE_CONFIG",
 ]
 
-PARAM_KEYS = ("h0", "h1", "lam0", "lam1", "ht0", "ht1", "lt0", "lt1", "K", "lam")
+PARAM_KEYS = tuple(f.name for f in fields(ProblemParams))
 CHECK_NAMES = ("sandwich", "differential", "decay_fit", "ladder", "oracle")
 DECAY_CHECKS = frozenset({"sandwich", "differential", "decay_fit"})
 INITIAL_DATA_NAMES = ("zero", "cosine", "affine")
 FORCING_NAMES = ("none", "boundary_exp", "manufactured")
+# Keys whose value must be one of a fixed set of names.
+CHOICES = {"initial_data": INITIAL_DATA_NAMES, "forcing": FORCING_NAMES,
+           "manufactured": FORM_NAMES}
 
 # Check thresholds used by run_scenario's pass/fail verdicts.
 LADDER_TOL = 1e-2
@@ -123,12 +129,40 @@ class Scenario:
     delta: float | None = None
 
 
-def _parse_bool(value: str, key: str) -> bool:
-    if value.lower() in ("true", "yes", "1"):
-        return True
-    if value.lower() in ("false", "no", "0"):
-        return False
-    raise ConfigError(f"{key}: expected true/false, got {value!r}")
+# The config grammar: one key per field of ProblemParams and Scenario, required
+# when the field has no default, converted by the field's annotation.
+_FIELDS = fields(ProblemParams) + tuple(f for f in fields(Scenario) if f.name != "params")
+_TYPES = {**get_type_hints(ProblemParams), **get_type_hints(Scenario)}
+
+
+def _convert(path, key: str, value: str):
+    """The value of the assignment ``key = value``, typed as its field."""
+    if key in CHOICES:
+        if value not in CHOICES[key]:
+            noun = "manufactured form" if key == "manufactured" else key
+            raise ConfigError(f"{path}: unknown {noun} {value!r}")
+        return value
+    if key == "checks":
+        checks = tuple(c.strip() for c in value.split(",") if c.strip())
+        for c in checks:
+            if c not in CHECK_NAMES:
+                raise ConfigError(f"{path}: unknown check {c!r}; known: {CHECK_NAMES}")
+        return checks
+    if _TYPES[key] is bool:
+        if value.lower() in ("true", "yes", "1"):
+            return True
+        if value.lower() in ("false", "no", "0"):
+            return False
+        raise ConfigError(f"{key}: expected true/false, got {value!r}")
+    try:
+        number = float(value)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {key}: not a number: {value!r}") from exc
+    if _TYPES[key] is not int:
+        return number
+    if not number.is_integer():
+        raise ConfigError(f"{path}: {key}: expected an integer, got {number}")
+    return int(number)
 
 
 def parse_scenario(path: str | os.PathLike) -> Scenario:
@@ -151,68 +185,16 @@ def parse_scenario(path: str | os.PathLike) -> Scenario:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         raw[key] = value
 
-    def take_float(key, *default):
-        """The number at ``key``; required unless a default is given."""
-        if key not in raw:
-            if not default:
-                raise ConfigError(f"{path}: missing required key {key!r}")
-            return default[0]
-        value = raw.pop(key)
-        try:
-            return float(value)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {key}: not a number: {value!r}") from exc
-
-    def take_int(key, *default):
-        value = take_float(key, *default)
-        if value != int(value):
-            raise ConfigError(f"{path}: {key}: expected an integer, got {value}")
-        return int(value)
-
-    params = ProblemParams(**{k: take_float(k) for k in PARAM_KEYS})
-    n_nodes = take_int("n_nodes")
-    T = take_float("T")
-    dt = take_float("dt")
-
-    initial_data = raw.pop("initial_data", "cosine")
-    if initial_data not in INITIAL_DATA_NAMES:
-        raise ConfigError(f"{path}: unknown initial_data {initial_data!r}")
-    forcing = raw.pop("forcing", "none")
-    if forcing not in FORCING_NAMES:
-        raise ConfigError(f"{path}: unknown forcing {forcing!r}")
-    manufactured = raw.pop("manufactured", None)
-    if manufactured is not None and manufactured not in FORM_NAMES:
-        raise ConfigError(f"{path}: unknown manufactured form {manufactured!r}")
-    if forcing == "manufactured" and manufactured is None:
-        raise ConfigError(f"{path}: forcing = manufactured needs a 'manufactured' key")
-
-    checks_value = raw.pop("checks", "")
-    checks = tuple(c.strip() for c in checks_value.split(",") if c.strip())
-    for c in checks:
-        if c not in CHECK_NAMES:
-            raise ConfigError(f"{path}: unknown check {c!r}; known: {CHECK_NAMES}")
-
-    scenario = Scenario(
-        params=params,
-        n_nodes=n_nodes,
-        T=T,
-        dt=dt,
-        initial_data=initial_data,
-        initial_amplitude=take_float("initial_amplitude", 1.0),
-        forcing=forcing,
-        forcing_amplitude=take_float("forcing_amplitude", 1.0),
-        forcing_rate=take_float("forcing_rate", 1.0),
-        manufactured=manufactured,
-        alpha=take_float("alpha", 1.0),
-        checks=checks,
-        seed=take_int("seed", 0),
-        write_solution=_parse_bool(raw.pop("write_solution", "false"), "write_solution"),
-        eps1=take_float("eps1", None),
-        eps2=take_float("eps2", None),
-        delta=take_float("delta", None),
-    )
+    values = {}
+    for f in _FIELDS:
+        if f.name in raw:
+            values[f.name] = _convert(path, f.name, raw.pop(f.name))
+        elif f.default is MISSING:
+            raise ConfigError(f"{path}: missing required key {f.name!r}")
     if raw:
         raise ConfigError(f"{path}: unknown keys: {sorted(raw)}")
+    params = ProblemParams(**{k: values.pop(k) for k in PARAM_KEYS})
+    scenario = Scenario(params, **values)
     _validate(scenario, path)
     return scenario
 
@@ -225,6 +207,8 @@ def _validate(scn: Scenario, where) -> None:
         _resolve_steps(scn.T, scn.dt)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    if scn.forcing == "manufactured" and scn.manufactured is None:
+        raise ConfigError(f"{where}: forcing = manufactured needs a 'manufactured' key")
     if "ladder" in scn.checks and scn.manufactured is None:
         raise ConfigError(f"{where}: the ladder check needs a manufactured scenario")
     if "oracle" in scn.checks and scn.n_nodes > 8:
@@ -290,6 +274,9 @@ class _CheckResult:
     passed: bool
     detail: str
 
+    def __str__(self) -> str:
+        return f"{self.name}: {'PASS' if self.passed else 'FAIL'} ({self.detail})"
+
 
 def _run_checks(scn: Scenario, sys, dc, forcing, traj, records, ms) -> tuple[list[_CheckResult], DecayReport | None]:
     results = []
@@ -332,10 +319,8 @@ def _run_checks(scn: Scenario, sys, dc, forcing, traj, records, ms) -> tuple[lis
                 name, rep.rel_discrepancy <= LADDER_TOL,
                 f"rel_discrepancy={rep.rel_discrepancy:.3e} tol={LADDER_TOL:g}"))
         elif name == "oracle":
-            oracle = oracle_integrate(sys, forcing, traj.coeffs[0], traj.velocities[0],
-                                      scn.T, scn.dt / 100.0)
-            stride = round((traj.times[1] - traj.times[0]) / (oracle.times[1] - oracle.times[0]))
-            ref_c = oracle.coeffs[::stride]
+            ref_c = oracle_integrate(sys, forcing, traj.coeffs[0], traj.velocities[0],
+                                     scn.T, scn.dt).coeffs
             scale = float(np.max(np.abs(ref_c)))
             rel = float(np.max(np.abs(traj.coeffs - ref_c))) / max(scale, 1e-300)
             results.append(_CheckResult(
@@ -369,13 +354,32 @@ def _write_report(path, scn: Scenario, dc, results, decay_report, overall) -> No
         )
     buf.write("checks:\n")
     for res in results:
-        buf.write(f"  {res.name}: {'PASS' if res.passed else 'FAIL'} ({res.detail})\n")
+        buf.write(f"  {res}\n")
     buf.write(f"overall: {'PASS' if overall else 'FAIL'}\n")
     Path(path).write_text(buf.getvalue())
 
 
-# Failures of a run that exit 4 with a ``solver error:`` line.
+# Failures of a run that exit 4 with a ``solver error:`` line; those that
+# exit 2 with a ``config error:`` line.
 SOLVER_ERRORS = (SingularMatrixError, np.linalg.LinAlgError, ArithmeticError)
+CONFIG_ERRORS = (ConfigError, DomainError, InfeasibleError)
+
+
+def _exit_code(command):
+    """Wrap ``command``, which returns an exit code, so that a config error
+    prints ``config error: ...`` and gives 2 and a solver failure prints
+    ``solver error: ...`` and gives 4."""
+    @functools.wraps(command)
+    def wrapped(*args, **kwargs) -> int:
+        try:
+            return command(*args, **kwargs)
+        except CONFIG_ERRORS as exc:
+            print(f"config error: {exc}")
+            return 2
+        except SOLVER_ERRORS as exc:
+            print(f"solver error: {exc}")
+            return 4
+    return wrapped
 
 
 def _require_finite(what: str, *arrays) -> None:
@@ -385,16 +389,13 @@ def _require_finite(what: str, *arrays) -> None:
         raise FloatingPointError(f"non-finite state: {bad} inf/NaN values in the {what}")
 
 
+@_exit_code
 def run_scenario(config_path, outdir=None) -> int:
     """Execute one scenario config; writes artifacts and returns the exit code."""
-    try:
-        scn = parse_scenario(config_path)
-    except ConfigError as exc:
-        print(f"config error: {exc}")
-        return 2
-    return execute(scn, resolve_outdir(config_path, outdir))
+    return execute(parse_scenario(config_path), resolve_outdir(config_path, outdir))
 
 
+@_exit_code
 def execute(scn: Scenario, outdir) -> int:
     """Run a parsed scenario; writes artifacts to the existing directory
     ``outdir`` and returns the exit code."""
@@ -407,12 +408,8 @@ def execute(scn: Scenario, outdir) -> int:
         )
         return 3
     dc = None
-    if verdict.accepted:
-        try:
-            dc = derive_constants(scn.params, eps1=scn.eps1, eps2=scn.eps2, delta=scn.delta)
-        except (DomainError, InfeasibleError) as exc:  # an eps1/eps2/delta override
-            print(f"config error: {exc}")
-            return 2
+    if verdict.accepted:  # an eps1/eps2/delta override out of range is a config error
+        dc = derive_constants(scn.params, eps1=scn.eps1, eps2=scn.eps2, delta=scn.delta)
 
     mesh = uniform_mesh(scn.n_nodes)
     sys = assemble(mesh, scn.params)
@@ -422,15 +419,12 @@ def execute(scn: Scenario, outdir) -> int:
     c0, v0 = project_initial_data(mesh, u0, u1)
 
     out = Path(outdir)
-    try:
+    with np.errstate(over="ignore", invalid="ignore"):  # the guards report inf/NaN
         traj = integrate(sys, forcing, c0, v0, scn.T, scn.dt)
         _require_finite("trajectory", traj.coeffs, traj.velocities)
         records = record_trajectory(traj, sys, scn.params, dc, forcing)
         _require_finite("energy records", *(getattr(records, k) for k in COLUMNS))
-        results, decay_report = _run_checks(scn, sys, dc, forcing, traj, records, ms)
-    except SOLVER_ERRORS as exc:
-        print(f"solver error: {exc}")
-        return 4
+    results, decay_report = _run_checks(scn, sys, dc, forcing, traj, records, ms)
 
     write_energy_csv(out / "energy.csv", records, traj.traces)
     if scn.write_solution:
@@ -439,7 +433,7 @@ def execute(scn: Scenario, outdir) -> int:
     overall = all(r.passed for r in results)
     _write_report(out / "report.txt", scn, dc, results, decay_report, overall)
     for res in results:
-        print(f"{res.name}: {'PASS' if res.passed else 'FAIL'} ({res.detail})")
+        print(res)
     print(f"artifacts in {out}")
     return 0 if overall else 1
 
@@ -471,15 +465,16 @@ def convergence_study(base: Scenario, levels: int) -> list[ConvergenceRow]:
     for lev in range(levels):
         n_nodes = (base.n_nodes - 1) * 2**lev + 1
         dt = base.dt / 2**lev
-        mesh = uniform_mesh(n_nodes)
-        sys = assemble(mesh, base.params)
-        c0, v0 = project_initial_data(mesh, ms.u0, ms.u1)
-        traj = integrate(sys, ms.forcing(), c0, v0, base.T, dt)
-        l2, h1 = error_norms(
-            sys, traj.coeffs[-1],
-            lambda x: ms.u(x, base.T), lambda x: ms.ux(x, base.T),
-        )
-        _require_finite(f"errors at n_nodes={n_nodes}", [l2, h1])
+        with np.errstate(over="ignore", invalid="ignore"):  # the guard reports inf/NaN
+            mesh = uniform_mesh(n_nodes)
+            sys = assemble(mesh, base.params)
+            c0, v0 = project_initial_data(mesh, ms.u0, ms.u1)
+            traj = integrate(sys, ms.forcing(), c0, v0, base.T, dt)
+            l2, h1 = error_norms(
+                sys, traj.coeffs[-1],
+                lambda x: ms.u(x, base.T), lambda x: ms.ux(x, base.T),
+            )
+            _require_finite(f"errors at n_nodes={n_nodes}", [l2, h1])
         if prev is None:
             l2_order = h1_order = math.nan
         else:
@@ -490,22 +485,31 @@ def convergence_study(base: Scenario, levels: int) -> list[ConvergenceRow]:
     return rows
 
 
-def write_convergence_csv(path, rows: list[ConvergenceRow]) -> None:
-    _write_csv(path, ["n_nodes", "dt", "L2_error", "H1_error", "L2_order", "H1_order"],
+@_exit_code
+def converge_scenario(config_path, levels: int, outdir=None) -> int:
+    """Convergence study of one config; writes ``convergence.csv``, prints the
+    table and returns the exit code."""
+    rows = convergence_study(parse_scenario(config_path), levels)
+    out = resolve_outdir(config_path, outdir)
+    _write_csv(out / "convergence.csv",
+               ["n_nodes", "dt", "L2_error", "H1_error", "L2_order", "H1_order"],
                np.array([astuple(r) for r in rows]).T)
+    print(f"{'n_nodes':>8} {'dt':>12} {'L2_error':>12} {'H1_error':>12} "
+          f"{'L2_order':>9} {'H1_order':>9}")
+    for r in rows:
+        print(f"{r.n_nodes:8d} {r.dt:12.3e} {r.l2_error:12.4e} {r.h1_error:12.4e} "
+              f"{r.l2_order:9.3f} {r.h1_order:9.3f}")
+    print(f"artifacts in {out}")
+    return 0
 
 
+@_exit_code
 def sweep_scenario(config_path, param: str, values: list[float], outdir=None) -> int:
     """Run the scenario once per value of ``param``, each in its own subdir."""
-    try:
-        scn = parse_scenario(config_path)
-    except ConfigError as exc:
-        print(f"config error: {exc}")
-        return 2
+    scn = parse_scenario(config_path)
     if param not in PARAM_KEYS + ("n_nodes", "T", "dt", "alpha", "initial_amplitude",
                                   "forcing_amplitude", "forcing_rate"):
-        print(f"config error: cannot sweep over {param!r}")
-        return 2
+        raise ConfigError(f"cannot sweep over {param!r}")
     base_out = resolve_outdir(config_path, outdir)
     worst = 0
     for value in values:
@@ -514,22 +518,22 @@ def sweep_scenario(config_path, param: str, values: list[float], outdir=None) ->
         patched = _patch_scenario(scn, param, value)
         # written for reproducibility: parse_scenario gives back ``patched``
         (subdir / "scenario.cfg").write_text(_scenario_to_config(patched))
-        try:
-            _validate(patched, f"{param}={value:g}")
-        except ConfigError as exc:
-            print(f"config error: {exc}")
-            code = 2
-        else:
-            code = execute(patched, subdir)
+        code = _sweep_point(patched, f"{param}={value:g}", subdir)
         print(f"sweep {param}={value:g}: exit {code}")
         worst = max(worst, code)
     return worst
 
 
+@_exit_code
+def _sweep_point(scn: Scenario, where: str, outdir) -> int:
+    _validate(scn, where)
+    return execute(scn, outdir)
+
+
 def _patch_scenario(scn: Scenario, param: str, value: float) -> Scenario:
     if param in PARAM_KEYS:
         return replace(scn, params=replace(scn.params, **{param: value}))
-    return replace(scn, **{param: int(value) if param == "n_nodes" else value})
+    return replace(scn, **{param: int(value) if _TYPES[param] is int else value})
 
 
 def _scenario_to_config(scn: Scenario) -> str:

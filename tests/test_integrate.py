@@ -269,6 +269,21 @@ class TestOracle:
         traj = oracle_integrate(sys, Forcing(), np.zeros(2), np.zeros(2), T=0.5, dt=1e-3)
         assert np.all(traj.coeffs == 0.0)
 
+    @pytest.mark.parametrize("n_nodes", [2, 3, 5])
+    @pytest.mark.parametrize("kind", ["none", "boundary_exp", "manufactured"])
+    def test_samples_do_not_depend_on_the_grid(self, n_nodes, kind):
+        # the step sizes come from rtol/atol, so sampling every dt or every
+        # dt/100 gives the same values at the common times
+        sys = assemble(uniform_mesh(n_nodes), P)
+        ms = manufacture("decaying_cosine", P)
+        forcing = {"none": Forcing(), "boundary_exp": Forcing(g0=lambda t: math.exp(-t)),
+                   "manufactured": ms.forcing()}[kind]
+        c0, v0 = project_initial_data(sys.mesh, ms.u0, ms.u1)
+        coarse = oracle_integrate(sys, forcing, c0, v0, T=1.0, dt=1e-2)
+        fine = oracle_integrate(sys, forcing, c0, v0, T=1.0, dt=1e-4)
+        ref = fine.coeffs[::100]
+        assert np.max(np.abs(coarse.coeffs - ref)) <= 1e-14 * np.max(np.abs(ref))
+
     def test_agrees_with_midpoint(self):
         sys = assemble(uniform_mesh(2), P)
         c0 = np.array([1.0, -1.0])

@@ -1,8 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from twopointwave import (
     REFERENCE_CONFIG,
+    ProblemParams,
+    Scenario,
     check_sandwich,
     derive_constants,
     parse_scenario,
@@ -96,6 +100,38 @@ class TestParse:
         with pytest.raises(ConfigError, match="ladder"):
             parse_scenario(write_config(tmp_path, SMALL_RUN.replace(
                 "checks = sandwich", "checks = ladder")))
+
+    @pytest.mark.parametrize("value, expected", [
+        ("true", True), ("Yes", True), ("1", True),
+        ("FALSE", False), ("no", False), ("0", False),
+    ])
+    def test_write_solution_synonyms(self, tmp_path, value, expected):
+        scn = parse_scenario(write_config(tmp_path, SMALL_RUN + f"write_solution = {value}\n"))
+        assert scn.write_solution is expected
+
+    def test_bad_write_solution_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="write_solution: expected true/false"):
+            parse_scenario(write_config(tmp_path, SMALL_RUN + "write_solution = maybe\n"))
+
+    @pytest.mark.parametrize("value", ["2.5", "inf"])
+    def test_non_integer_for_integer_key_rejected(self, tmp_path, value):
+        with pytest.raises(ConfigError, match=f"n_nodes: expected an integer, got {value}"):
+            parse_scenario(write_config(tmp_path, SMALL_RUN.replace(
+                "n_nodes = 17", f"n_nodes = {value}")))
+
+    @pytest.mark.parametrize("key, value", [
+        ("initial_data", "Cosine"), ("forcing", "wind"), ("manufactured", "nope"),
+    ])
+    def test_unknown_choice_rejected(self, tmp_path, key, value):
+        with pytest.raises(ConfigError, match=f"unknown {key}.*'{value}'"):
+            parse_scenario(write_config(tmp_path, SMALL_RUN + f"{key} = {value}\n"))
+
+    def test_required_keys_alone_take_the_field_defaults(self, tmp_path):
+        text = SMALL_RUN.replace("checks = sandwich\n", "")
+        assert parse_scenario(write_config(tmp_path, text)) == Scenario(
+            params=ProblemParams(h0=1.0, h1=0.5, lam0=1.0, lam1=1.0, ht0=0.01, ht1=0.01,
+                                 lt0=0.1, lt1=0.1, K=1.0, lam=1.0),
+            n_nodes=17, T=1.0, dt=0.01)
 
 
 class TestRunScenario:
@@ -284,6 +320,22 @@ class TestCli:
         assert main(["converge", str(config), "--levels", "3", "--outdir", str(out)]) == 4
         assert "solver error: non-finite state" in capsys.readouterr().out
         assert not (out / "convergence.csv").exists()
+
+    @pytest.mark.parametrize("command, text, code", [
+        ("run", SMALL_RUN, 0),
+        ("run", REFERENCE_CONFIG.replace("initial_amplitude = 1.0",
+                                         "initial_amplitude = 1e200"), 4),
+        ("converge", MMS_BASE + "alpha = -900\n", 4),
+    ], ids=["healthy_run", "overflowing_run", "overflowing_converge"])
+    def test_stderr_stays_empty(self, tmp_path, capfd, command, text, code):
+        # the non-finite guard is the one report: no RuntimeWarning before it
+        config = write_config(tmp_path, text)
+        argv = [command, str(config), "--outdir", str(tmp_path / "o")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv + (["--levels", "3"] if command == "converge" else [])) == code
+        assert [str(w.message) for w in caught] == []
+        assert capfd.readouterr().err == ""
 
     def test_horizon_not_a_multiple_of_dt_exits_2(self, tmp_path, capsys):
         text = SMALL_RUN.replace("T = 1.0", "T = 1.05").replace("dt = 0.01", "dt = 0.1")
