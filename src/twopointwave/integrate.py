@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csc_array
+from scipy.sparse import csc_array, csr_array, hstack
 from scipy.sparse.linalg import splu
 
 from .errors import DimensionError, SingularMatrixError
@@ -58,13 +58,15 @@ def project_initial_data(mesh: Mesh, u0, u1) -> tuple[np.ndarray, np.ndarray]:
 class MidpointStepper:
     """Implicit midpoint update with the iteration matrix factored once.
 
-    With z = (c, v), c' = v and M v' = F(t) - C_mat v - K_mat c, the midpoint
-    velocity vm solves
+    With c' = v and M v' = F(t) - C_mat v - K_mat c, the midpoint velocity vm
+    solves
 
         (M + dt/2*C_mat + dt^2/4*K_mat) vm = M v_n + dt/2*(F(t+dt/2) - K_mat c_n)
 
-    and then c_{n+1} = c_n + dt*vm, v_{n+1} = 2*vm - v_n.  The iteration
-    matrix is factored by SuperLU.
+    and then v_{n+1} = 2*vm - v_n, c_{n+1} = c_n + dt*vm.  The step is fused on
+    the stacked state z = (v, c): the right-hand side is one product
+    R z + dt/2*F(t+dt/2) with R = [M | -dt/2*K_mat], built once next to the
+    SuperLU factor of the iteration matrix, and the new state overwrites z.
     """
 
     def __init__(self, sys: GalerkinSystem, dt: float):
@@ -80,16 +82,21 @@ class MidpointStepper:
         diag = np.abs(self._lu.U.diagonal())
         if not np.all(np.isfinite(diag)) or np.min(diag) <= 1e-14 * max(np.max(diag), 1.0):
             raise SingularMatrixError(dt)
+        # csr_array first: hstack cannot take the dense blocks of a hand-built system
+        self._R = hstack([csr_array(sys.M), csr_array(-0.5 * dt * sys.K_mat)], format="csr")
 
     def step(self, forcing: Forcing, c: np.ndarray, v: np.ndarray, t: float):
-        return self.advance(c, v, load_vector(self.sys, forcing, t + 0.5 * self.dt))
+        z = np.concatenate([v, c])
+        self.advance(z, 0.5 * self.dt * load_vector(self.sys, forcing, t + 0.5 * self.dt))
+        return z[self.sys.m:], z[:self.sys.m]
 
-    def advance(self, c: np.ndarray, v: np.ndarray, load: np.ndarray):
-        """One step from (c, v), given the midpoint load F(t + dt/2)."""
-        dt = self.dt
-        rhs = self.sys.M @ v + 0.5 * dt * (load - self.sys.K_mat @ c)
-        vm = self._lu.solve(rhs)
-        return c + dt * vm, 2.0 * vm - v
+    def advance(self, z: np.ndarray, half_dt_load: np.ndarray) -> None:
+        """Overwrite the stacked state z = (v, c) with the state one step on,
+        given dt/2 times the midpoint load F(t + dt/2)."""
+        vm = self._lu.solve(self._R @ z + half_dt_load)
+        v, c = z[:len(vm)], z[len(vm):]
+        np.subtract(2.0 * vm, v, out=v)
+        c += self.dt * vm
 
 
 def step(sys: GalerkinSystem, forcing: Forcing, state, t: float, dt: float):
@@ -151,21 +158,25 @@ def integrate(
 ) -> Trajectory:
     """Advance the system from (c0, v0) over [t0, t0+T] with fixed step dt.
 
-    The midpoint loads come from one ``load_vector`` call per block of steps
-    (``time_blocks``); each step is the same update as ``MidpointStepper.step``.
+    Each step is ``MidpointStepper.advance`` on one stacked state z = (v, c),
+    the same update as ``MidpointStepper.step``; the states are copied from z
+    into preallocated sample arrays.  The midpoint loads come from one
+    ``load_vector`` call per block of steps (``time_blocks``).
     """
     c0, v0, times = _start(sys, c0, v0, T, dt, t0)
     stepper = MidpointStepper(sys, dt)
     C = np.empty((len(times), sys.m))
     V = np.empty((len(times), sys.m))
     C[0], V[0] = c0, v0
-    c, v = C[0], V[0]
+    z = np.concatenate([v0, c0])
+    v, c = z[:sys.m], z[sys.m:]
     for block in time_blocks(sys, len(times) - 1):
         loads = load_vector(sys, forcing, times[block] + 0.5 * dt)
-        for n, load in zip(range(block.start, block.stop), loads):
-            c, v = stepper.advance(c, v, load)
-            C[n + 1] = c
-            V[n + 1] = v
+        loads *= 0.5 * dt
+        for n, load in zip(range(block.start + 1, block.stop + 1), loads):
+            stepper.advance(z, load)
+            V[n] = v
+            C[n] = c
     return _package_trajectory(sys, times, C, V, dt)
 
 

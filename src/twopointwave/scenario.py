@@ -153,15 +153,21 @@ def _convert(path, key: str, value: str):
             return True
         if value.lower() in ("false", "no", "0"):
             return False
-        raise ConfigError(f"{key}: expected true/false, got {value!r}")
+        raise ConfigError(f"{path}: {key}: expected true/false, got {value!r}")
     try:
         number = float(value)
     except ValueError as exc:
         raise ConfigError(f"{path}: {key}: not a number: {value!r}") from exc
+    return _typed_number(path, key, number)
+
+
+def _typed_number(where, key: str, number: float):
+    """``number`` as the value of the numeric field ``key``: an int for an
+    integer field, which rejects a fractional or non-finite value."""
     if _TYPES[key] is not int:
         return number
     if not number.is_integer():
-        raise ConfigError(f"{path}: {key}: expected an integer, got {number}")
+        raise ConfigError(f"{where}: {key}: expected an integer, got {number}")
     return int(number)
 
 
@@ -240,11 +246,26 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+# Values formatted per write in _write_csv: bounds its temporary strings and
+# Python floats to about 0.3 MB whatever the size of the table, so that writing
+# raises no memory high-water mark; larger blocks format no faster.
+CSV_BLOCK_VALUES = 4096
+
+
 def _write_csv(path, header, columns) -> None:
-    """Columns as rows of %.17g (exact round trip), comma-separated, CRLF-ended."""
+    """Columns as rows of %.17g (exact round trip), comma-separated, CRLF-ended.
+
+    One %-format per block of rows writes the same bytes as ``np.savetxt``
+    with that format, without its Python loop over rows.
+    """
+    data = np.column_stack(columns)
+    row = ",".join(["%.17g"] * data.shape[1]) + "\r\n"
+    rows_per_block = max(1, CSV_BLOCK_VALUES // data.shape[1])
     with open(path, "w", newline="") as fh:
-        np.savetxt(fh, np.column_stack(columns), fmt="%.17g", delimiter=",",
-                   header=",".join(header), comments="", newline="\r\n")
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(data), rows_per_block):
+            block = data[start:start + rows_per_block]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_energy_csv(path, records, traces) -> None:
@@ -515,25 +536,24 @@ def sweep_scenario(config_path, param: str, values: list[float], outdir=None) ->
     for value in values:
         subdir = base_out / f"{param}_{value:g}"
         subdir.mkdir(parents=True, exist_ok=True)
-        patched = _patch_scenario(scn, param, value)
-        # written for reproducibility: parse_scenario gives back ``patched``
-        (subdir / "scenario.cfg").write_text(_scenario_to_config(patched))
-        code = _sweep_point(patched, f"{param}={value:g}", subdir)
+        code = _sweep_point(scn, param, value, subdir)
         print(f"sweep {param}={value:g}: exit {code}")
         worst = max(worst, code)
     return worst
 
 
 @_exit_code
-def _sweep_point(scn: Scenario, where: str, outdir) -> int:
-    _validate(scn, where)
-    return execute(scn, outdir)
-
-
-def _patch_scenario(scn: Scenario, param: str, value: float) -> Scenario:
+def _sweep_point(scn: Scenario, param: str, value: float, outdir) -> int:
+    where = f"{param}={value:g}"
+    value = _typed_number(where, param, float(value))
     if param in PARAM_KEYS:
-        return replace(scn, params=replace(scn.params, **{param: value}))
-    return replace(scn, **{param: int(value) if _TYPES[param] is int else value})
+        patched = replace(scn, params=replace(scn.params, **{param: value}))
+    else:
+        patched = replace(scn, **{param: value})
+    # written for reproducibility: parse_scenario gives back ``patched``
+    (outdir / "scenario.cfg").write_text(_scenario_to_config(patched))
+    _validate(patched, where)
+    return execute(patched, outdir)
 
 
 def _scenario_to_config(scn: Scenario) -> str:

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys as system
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +113,31 @@ class TestStep:
         vm = scipy.linalg.solve(M + 0.5 * dt * C + 0.25 * dt * dt * K, rhs)
         c1, v1 = MidpointStepper(sys, dt).step(forcing, c, v, t)
         for got, want in ((c1, c + dt * vm), (v1, 2.0 * vm - v)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [2, 65])
+    def test_fused_steps_match_the_two_product_formula(self, n):
+        # the fused right-hand side R z + dt/2 F with R = [M | -dt/2 K_mat]
+        # against M v + dt/2 (F - K_mat c) with a dense factorisation, over a
+        # whole run with nonsymmetric couplings and every forcing term on
+        p = replace(P, ht0=0.3, ht1=-0.2, lt0=0.4, lt1=-0.1)
+        sys = assemble(uniform_mesh(n), p)
+        forcing = Forcing(f=lambda x, t: np.sin(3.0 * x + t), g0=math.cos,
+                          g1=lambda t: math.exp(-t))
+        rng = np.random.default_rng(n)
+        c, v = rng.standard_normal(n), rng.standard_normal(n)
+        dt, steps = 1e-3, 1000
+        traj = integrate(sys, forcing, c, v, steps * dt, dt)
+        M, C, K = sys.M.toarray(), sys.C_mat.toarray(), sys.K_mat.toarray()
+        lu = scipy.linalg.lu_factor(M + 0.5 * dt * C + 0.25 * dt * dt * K)
+        want_c, want_v = [c], [v]
+        for t in traj.times[:-1]:
+            rhs = M @ v + 0.5 * dt * (load_vector(sys, forcing, t + 0.5 * dt) - K @ c)
+            vm = scipy.linalg.lu_solve(lu, rhs)
+            c, v = c + dt * vm, 2.0 * vm - v
+            want_c.append(c)
+            want_v.append(v)
+        for got, want in ((traj.coeffs, np.array(want_c)), (traj.velocities, np.array(want_v))):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_singular_iteration_matrix_reported(self):

@@ -113,6 +113,12 @@ class TestParse:
         with pytest.raises(ConfigError, match="write_solution: expected true/false"):
             parse_scenario(write_config(tmp_path, SMALL_RUN + "write_solution = maybe\n"))
 
+    def test_bad_write_solution_names_the_config(self, tmp_path, capsys):
+        config = write_config(tmp_path, SMALL_RUN + "write_solution = maybe\n")
+        assert main(["run", str(config), "--outdir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().out == (
+            f"config error: {config}: write_solution: expected true/false, got 'maybe'\n")
+
     @pytest.mark.parametrize("value", ["2.5", "inf"])
     def test_non_integer_for_integer_key_rejected(self, tmp_path, value):
         with pytest.raises(ConfigError, match=f"n_nodes: expected an integer, got {value}"):
@@ -160,6 +166,20 @@ class TestRunScenario:
         # full-precision floats survive the round trip exactly
         assert records[1].t == 0.01
         assert len(records) == 101
+
+    def test_csv_writer_writes_the_bytes_of_savetxt(self, tmp_path):
+        # more rows than one formatting block, zeros, magnitudes 1e-20..1e5,
+        # both signs and the NaN that convergence.csv's first orders hold
+        rng = np.random.default_rng(3)
+        rows = scenario.CSV_BLOCK_VALUES // 3 + 7
+        data = rng.choice([-1.0, 1.0], (rows, 3)) * 10.0 ** rng.uniform(-20, 5, (rows, 3))
+        data[::5, 1] = 0.0
+        data[0, 2] = np.nan
+        scenario._write_csv(tmp_path / "new.csv", ["t", "a", "b"], list(data.T))
+        with open(tmp_path / "old.csv", "w", newline="") as fh:
+            np.savetxt(fh, data, fmt="%.17g", delimiter=",", header="t,a,b", comments="",
+                       newline="\r\n")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     def test_config_error_exits_2(self, tmp_path):
         config = write_config(tmp_path, "h0 = broken\n")
@@ -289,6 +309,18 @@ class TestCli:
         out = capsys.readouterr().out
         assert "config error: n_nodes=1: need T > 0, dt > 0 and n_nodes >= 2" in out
         assert "sweep n_nodes=9: exit 0" in out
+
+    def test_sweep_rejects_a_fractional_integer_value(self, tmp_path, capsys):
+        config = write_config(tmp_path, SMALL_RUN)
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(config), "--param", "n_nodes", "--values", "9.5", "9",
+                     "--outdir", str(out)]) == 2
+        printed = capsys.readouterr().out
+        assert "config error: n_nodes=9.5: n_nodes: expected an integer, got 9.5" in printed
+        assert "sweep n_nodes=9.5: exit 2" in printed
+        assert "sweep n_nodes=9: exit 0" in printed
+        assert list((out / "n_nodes_9.5").iterdir()) == []
+        assert (out / "n_nodes_9" / "energy.csv").exists()
 
     @pytest.mark.parametrize("rate", [-1000.0, -36.0])
     def test_forcing_overflow_exits_4(self, tmp_path, capsys, rate):
