@@ -43,7 +43,7 @@ traj = integrate(sys, Forcing(), c0, v0, T=10.0, dt=1e-3)
 records = record_trajectory(traj, sys, params, dc)
 
 print(f"\nintegrated {traj.n_samples - 1} steps; "
-      f"E(0)={records[0].E:.4f}, E(T)={records[-1].E:.3e}")
+      f"E(0)={records.E[0]:.4f}, E(T)={records.E[-1]:.3e}")
 
 sandwich = check_sandwich(records, dc)
 print(f"sandwich beta1*E <= Gamma <= beta2*E: {sandwich.violations} violations "

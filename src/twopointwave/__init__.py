@@ -17,6 +17,7 @@ from .galerkin import (
     GalerkinSystem,
     assemble,
     load_vector,
+    sigma_forcing,
     norm_1_sq,
     norm_a_sq,
     sup_norm,
@@ -31,7 +32,6 @@ from .integrate import (
     oracle_integrate,
 )
 from .diagnostics import (
-    EnergyRecord,
     EnergyRecords,
     DecayReport,
     SandwichReport,
@@ -39,7 +39,6 @@ from .diagnostics import (
     energy,
     psi,
     lyapunov,
-    sigma_forcing,
     record_trajectory,
     check_sandwich,
     check_differential_inequality,
@@ -70,7 +69,6 @@ from .scenario import (
     sweep_scenario,
     write_energy_csv,
     read_energy_csv,
-    REFERENCE_CONFIG,
 )
 
 __version__ = "0.1.0"

@@ -31,13 +31,12 @@ from .errors import (
     InsufficientDataError,
     TooFewSamplesError,
 )
-from .galerkin import (_GAUSS_W, Forcing, GalerkinSystem, apply_rows, boundary_values,
-                       norm_1_sq, norm_a_sq, quad_values, time_blocks)
+from .galerkin import (Forcing, GalerkinSystem, apply_rows, norm_1_sq, norm_a_sq,
+                       sigma_forcing, time_blocks)
 from .integrate import Trajectory
 from .params import DerivedConstants, ProblemParams
 
 __all__ = [
-    "EnergyRecord",
     "EnergyRecords",
     "DecayReport",
     "SandwichReport",
@@ -45,7 +44,6 @@ __all__ = [
     "energy",
     "psi",
     "lyapunov",
-    "sigma_forcing",
     "record_trajectory",
     "check_sandwich",
     "check_differential_inequality",
@@ -56,23 +54,10 @@ __all__ = [
 ENERGY_FLOOR = 1e-14
 
 
-@dataclass(frozen=True)
-class EnergyRecord:
-    t: float
-    E: float
-    psi: float
-    Gamma: float
-    sigma: float
-    X: float
-
-
-COLUMNS = tuple(f.name for f in fields(EnergyRecord))
-
-
 @dataclass(frozen=True, eq=False)
 class EnergyRecords:
-    """The observables along a trajectory, one array per column of
-    ``EnergyRecord``; ``records[n]`` is the ``EnergyRecord`` of sample n."""
+    """The observables along a trajectory, one array per column; sample n
+    is index n of every column."""
 
     t: np.ndarray
     E: np.ndarray
@@ -81,22 +66,11 @@ class EnergyRecords:
     sigma: np.ndarray
     X: np.ndarray
 
-    @classmethod
-    def of(cls, records) -> EnergyRecords:
-        """Columns of ``records``: an EnergyRecords, or any sequence of rows."""
-        if isinstance(records, cls):
-            return records
-        rows = np.array([[getattr(r, k) for k in COLUMNS] for r in records], dtype=float)
-        return cls(*rows.reshape(-1, len(COLUMNS)).T)
-
     def __len__(self) -> int:
         return len(self.t)
 
-    def __getitem__(self, n) -> EnergyRecord:
-        return EnergyRecord(*(float(getattr(self, k)[n]) for k in COLUMNS))
 
-    def __iter__(self):
-        return (self[n] for n in range(len(self)))
+COLUMNS = tuple(f.name for f in fields(EnergyRecords))
 
 
 @dataclass(frozen=True)
@@ -137,10 +111,9 @@ def _functionals(sys: GalerkinSystem, p: ProblemParams, C: np.ndarray, V: np.nda
         Mc = apply_rows(sys.M, c)
         vMv = np.einsum("ni,ni->n", apply_rows(sys.M, v), v)
         cMc = np.einsum("ni,ni->n", Mc, c)
-        u0, u1 = c @ sys.trace0, c @ sys.trace1
         E[b] = 0.5 * vMv + 0.5 * norm_a_sq(sys, c) + 0.5 * p.K * cMc
         psi_[b] = (np.einsum("ni,ni->n", Mc, v) + 0.5 * p.lam * cMc
-                   + 0.5 * p.lam0 * u0**2 + 0.5 * p.lam1 * u1**2)
+                   + 0.5 * p.lam0 * c[:, 0]**2 + 0.5 * p.lam1 * c[:, -1]**2)
         norms[b] = vMv + norm_1_sq(sys, c)
     return E, psi_, norms
 
@@ -170,27 +143,6 @@ def lyapunov(sys: GalerkinSystem, p: ProblemParams, dc: DerivedConstants, c, v) 
     return E + dc.delta * psi_
 
 
-def sigma_forcing(forcing: Forcing, sys: GalerkinSystem, t):
-    """Forcing magnitude ||f(t)||^2 + g0(t)^2 + g1(t)^2.
-
-    ``t`` is one time, giving a float, or a 1-d array of times, giving one
-    value per time; ||f(t)||^2 is the Gauss quadrature over blocks of times
-    (``time_blocks``).  The boundary values are squared as Python floats, so
-    an overflow raises OverflowError instead of giving inf.
-    """
-    t = np.asarray(t, dtype=float)
-    times = np.atleast_1d(t)
-    total = np.zeros(len(times))
-    if forcing.f is not None:
-        for b in time_blocks(sys, len(times)):
-            fe = quad_values(forcing.f, sys.quad_x, times[b])
-            total[b] = (0.5 * sys.mesh.h) * np.sum(fe**2 @ _GAUSS_W, axis=-1)
-    for g in (forcing.g0, forcing.g1):
-        if g is not None:
-            total += [v**2 for v in boundary_values(g, times).tolist()]
-    return float(total[0]) if t.ndim == 0 else total
-
-
 def record_trajectory(
     traj: Trajectory,
     sys: GalerkinSystem,
@@ -211,40 +163,40 @@ def record_trajectory(
     return EnergyRecords(t=t, E=E, psi=psi_all, Gamma=E + delta * psi_all, sigma=sigma, X=X)
 
 
-def check_sandwich(records, dc: DerivedConstants) -> SandwichReport:
+def check_sandwich(records: EnergyRecords, dc: DerivedConstants) -> SandwichReport:
     """Count samples violating beta1*E <= Gamma <= beta2*E.
 
     Tolerance is 1e-10 * max(E, 1) per sample; a non-finite sample counts as
     a violation.  The worst ratio is the largest violation margin scaled the
     same way (negative when every sample sits strictly inside the sandwich).
     """
-    r = EnergyRecords.of(records)
-    scale = np.maximum(r.E, 1.0)
-    gap = np.maximum(dc.beta1 * r.E - r.Gamma, r.Gamma - dc.beta2 * r.E)
+    E, Gamma = records.E, records.Gamma
+    scale = np.maximum(E, 1.0)
+    gap = np.maximum(dc.beta1 * E - Gamma, Gamma - dc.beta2 * E)
     return SandwichReport(
         violations=int(np.count_nonzero(~(gap <= 1e-10 * scale))),
         worst_ratio=float(np.max(gap / scale, initial=-math.inf)),
     )
 
 
-def _dissipation_margins(records, dc: DerivedConstants) -> tuple[np.ndarray, float]:
+def _dissipation_margins(records: EnergyRecords, dc: DerivedConstants) -> tuple[np.ndarray, float]:
     """Centered-difference margins of the dissipation inequality (interior samples)."""
-    r = EnergyRecords.of(records)
-    if len(r) < 3:
-        raise TooFewSamplesError(f"need at least 3 records, got {len(r)}")
-    dts = np.diff(r.t)
+    t, Gamma, sigma = records.t, records.Gamma, records.sigma
+    if len(t) < 3:
+        raise TooFewSamplesError(f"need at least 3 records, got {len(t)}")
+    dts = np.diff(t)
     dt = dts[0]
     if not np.allclose(dts, dt, rtol=1e-9, atol=1e-12):
         raise ValueError("records are not uniformly sampled")
-    dgamma = (r.Gamma[2:] - r.Gamma[:-2]) / (2.0 * dt)
-    rhs = -dc.delta * r.Gamma[1:-1] + 0.5 * (1.0 / dc.eps1 + dc.delta / dc.eps2) * r.sigma[1:-1]
+    dgamma = (Gamma[2:] - Gamma[:-2]) / (2.0 * dt)
+    rhs = -dc.delta * Gamma[1:-1] + 0.5 * (1.0 / dc.eps1 + dc.delta / dc.eps2) * sigma[1:-1]
     return dgamma - rhs, dt
 
 
 def check_differential_inequality(
-    records,
+    records: EnergyRecords,
     dc: DerivedConstants,
-    refined_records=None,
+    refined_records: EnergyRecords | None = None,
 ) -> DifferentialReport:
     """Count dissipation-inequality violations beyond the dt^2 tolerance.
 
@@ -270,7 +222,7 @@ def check_differential_inequality(
 
 
 def fit_decay_rate(
-    records,
+    records: EnergyRecords,
     fit_window: tuple[float, float] | None = None,
     theoretical_delta: float = math.nan,
 ) -> DecayReport:
@@ -284,8 +236,7 @@ def fit_decay_rate(
     (a broken run has no decay rate), or when fewer than 10 usable samples
     remain (the energy underflowed, i.e. decay was too fast for the horizon).
     """
-    r = EnergyRecords.of(records)
-    t, E = r.t, r.E
+    t, E = records.t, records.E
     if fit_window is None:
         t_end = t[-1]
         fit_window = (0.5 * t_end, t_end)

@@ -1,7 +1,8 @@
 """Piecewise-linear Galerkin discretization on a uniform mesh of [0, 1].
 
-Hat functions give exact endpoint traces (w_j(0), w_j(1) in {0, 1}) and
-closed-form mass/stiffness matrices, so the semi-discrete system
+Hat functions give exact endpoint traces, u(0) = c[0] and u(1) = c[-1] (tr0
+and tr1 below are the first and last unit vectors), and closed-form
+mass/stiffness matrices, so the semi-discrete system
 
     M c'' + (lam*M + D) c' + (A + K*M + B) c = F(t)
 
@@ -38,6 +39,7 @@ __all__ = [
     "GalerkinSystem",
     "assemble",
     "load_vector",
+    "sigma_forcing",
     "norm_1_sq",
     "norm_a_sq",
     "sup_norm",
@@ -99,8 +101,6 @@ class GalerkinSystem:
     A: csr_array
     D: csr_array
     B: csr_array
-    trace0: np.ndarray
-    trace1: np.ndarray
     C_mat: csr_array = field(repr=False, default=None)
     K_mat: csr_array = field(repr=False, default=None)
     quad_x: np.ndarray = field(repr=False, default=None)
@@ -142,14 +142,11 @@ def assemble(mesh: Mesh, p: ProblemParams) -> GalerkinSystem:
     D = corners(p.lam0, p.lt1, p.lam1, p.lt0)
     B = corners(0.0, p.ht1, 0.0, p.ht0)
 
-    tr0, tr1 = np.zeros((2, n))
-    tr0[0] = tr1[-1] = 1.0
-
     # Global Gauss points, one row per element.
     mids = 0.5 * (mesh.nodes[:-1] + mesh.nodes[1:])
     quad_x = mids[:, None] + 0.5 * h * _GAUSS_X[None, :]
 
-    return GalerkinSystem(mesh=mesh, p=p, M=M, S=S, A=A, D=D, B=B, trace0=tr0, trace1=tr1,
+    return GalerkinSystem(mesh=mesh, p=p, M=M, S=S, A=A, D=D, B=B,
                           C_mat=p.lam * M + D, K_mat=A + p.K * M + B, quad_x=quad_x)
 
 
@@ -165,7 +162,7 @@ def time_blocks(sys: GalerkinSystem, n_times: int) -> list[slice]:
     return [slice(start, min(start + size, n_times)) for start in range(0, n_times, size)]
 
 
-def quad_values(f: Callable, quad_x: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _quad_values(f: Callable, quad_x: np.ndarray, t: np.ndarray) -> np.ndarray:
     """f at the Gauss points for every time in t: shape t.shape + quad_x.shape.
 
     One time (a 0-d ``t``) is passed to f as a scalar, which keeps the
@@ -176,7 +173,7 @@ def quad_values(f: Callable, quad_x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return vals if vals.shape == shape else np.broadcast_to(vals, shape)
 
 
-def boundary_values(g: Callable, t: np.ndarray) -> np.ndarray:
+def _boundary_values(g: Callable, t: np.ndarray) -> np.ndarray:
     """g at every time in t (0-d or 1-d), called with one time at a time."""
     if not t.ndim:
         return np.asarray(float(g(t[()])))
@@ -193,14 +190,35 @@ def load_vector(sys: GalerkinSystem, forcing: Forcing, t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     F = np.zeros(t.shape + (sys.m,))
     if forcing.g0 is not None:
-        F -= boundary_values(forcing.g0, t)[..., None] * sys.trace0
+        F[..., 0] -= _boundary_values(forcing.g0, t)
     if forcing.g1 is not None:
-        F -= boundary_values(forcing.g1, t)[..., None] * sys.trace1
+        F[..., -1] -= _boundary_values(forcing.g1, t)
     if forcing.f is not None:
-        scaled = (0.5 * sys.mesh.h) * quad_values(forcing.f, sys.quad_x, t) * _GAUSS_W
+        scaled = (0.5 * sys.mesh.h) * _quad_values(forcing.f, sys.quad_x, t) * _GAUSS_W
         F[..., :-1] += scaled @ _SHAPE_LEFT
         F[..., 1:] += scaled @ _SHAPE_RIGHT
     return F
+
+
+def sigma_forcing(forcing: Forcing, sys: GalerkinSystem, t):
+    """Forcing magnitude ||f(t)||^2 + g0(t)^2 + g1(t)^2.
+
+    ``t`` is one time, giving a float, or a 1-d array of times, giving one
+    value per time; ||f(t)||^2 is the Gauss quadrature over blocks of times
+    (``time_blocks``).  The boundary values are squared as Python floats, so
+    an overflow raises OverflowError instead of giving inf.
+    """
+    t = np.asarray(t, dtype=float)
+    times = np.atleast_1d(t)
+    total = np.zeros(len(times))
+    if forcing.f is not None:
+        for b in time_blocks(sys, len(times)):
+            fe = _quad_values(forcing.f, sys.quad_x, times[b])
+            total[b] = (0.5 * sys.mesh.h) * np.sum(fe**2 @ _GAUSS_W, axis=-1)
+    for g in (forcing.g0, forcing.g1):
+        if g is not None:
+            total += [v**2 for v in _boundary_values(g, times).tolist()]
+    return float(total[0]) if t.ndim == 0 else total
 
 
 def _check_dim(sys: GalerkinSystem, c: np.ndarray) -> np.ndarray:
@@ -227,7 +245,7 @@ def _quadratic_form(Q, c: np.ndarray):
 def norm_1_sq(sys: GalerkinSystem, c: np.ndarray):
     """Squared boundary-anchored H1 norm: v(0)^2 + ||v_x||^2."""
     c = _check_dim(sys, c)
-    return (c @ sys.trace0) ** 2 + _quadratic_form(sys.S, c)
+    return c[..., 0] ** 2 + _quadratic_form(sys.S, c)
 
 
 def norm_a_sq(sys: GalerkinSystem, c: np.ndarray):

@@ -8,6 +8,7 @@ dimension, serves as an independent oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,6 @@ class Trajectory:
     velocities: np.ndarray
     traces: np.ndarray
     accumulators: np.ndarray
-    dt: float
 
     @property
     def n_samples(self) -> int:
@@ -116,6 +116,8 @@ def step(sys: GalerkinSystem, forcing: Forcing, state, t: float, dt: float):
 def _resolve_steps(T: float, dt: float) -> int:
     if T <= 0 or dt <= 0:
         raise ValueError("T and dt must be positive")
+    if not math.isfinite(T / dt):
+        raise ValueError(f"T={T} and dt={dt} give no finite step count")
     n_steps = int(round(T / dt))
     if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
         raise ValueError(f"T={T} is not an integral multiple of dt={dt}")
@@ -131,20 +133,13 @@ def _start(sys: GalerkinSystem, c0, v0, T: float, dt: float, t0: float):
     return c0, v0, times
 
 
-def _package_trajectory(
-    sys: GalerkinSystem, times: np.ndarray, C: np.ndarray, V: np.ndarray, dt: float
-) -> Trajectory:
-    tr_u0 = C @ sys.trace0
-    tr_u1 = C @ sys.trace1
-    tr_v0 = V @ sys.trace0
-    tr_v1 = V @ sys.trace1
-    traces = np.column_stack([tr_u0, tr_u1, tr_v0, tr_v1])
+def _package_trajectory(times: np.ndarray, C: np.ndarray, V: np.ndarray, dt: float) -> Trajectory:
+    """The trajectory of the sampled states; the traces are the end coefficients."""
+    traces = np.column_stack([C[:, 0], C[:, -1], V[:, 0], V[:, -1]])
+    v_end_sq = traces[:, 2:] ** 2
     acc = np.zeros((len(times), 2))
-    acc[1:, 0] = np.cumsum(0.5 * dt * (tr_v0[:-1] ** 2 + tr_v0[1:] ** 2))
-    acc[1:, 1] = np.cumsum(0.5 * dt * (tr_v1[:-1] ** 2 + tr_v1[1:] ** 2))
-    return Trajectory(
-        times=times, coeffs=C, velocities=V, traces=traces, accumulators=acc, dt=dt
-    )
+    acc[1:] = np.cumsum(0.5 * dt * (v_end_sq[:-1] + v_end_sq[1:]), axis=0)
+    return Trajectory(times=times, coeffs=C, velocities=V, traces=traces, accumulators=acc)
 
 
 def integrate(
@@ -177,7 +172,7 @@ def integrate(
             stepper.advance(z, load)
             V[n] = v
             C[n] = c
-    return _package_trajectory(sys, times, C, V, dt)
+    return _package_trajectory(times, C, V, dt)
 
 
 # The oracle is meant for tiny cross-check systems only; it works on dense
@@ -217,4 +212,4 @@ def oracle_integrate(
                                     method="DOP853", t_eval=times, rtol=1e-12, atol=1e-14)
     if not sol.success:
         raise ArithmeticError(f"oracle integration failed: {sol.message}")
-    return _package_trajectory(sys, times, sol.y[:m].T.copy(), sol.y[m:].T.copy(), dt)
+    return _package_trajectory(times, sol.y[:m].T.copy(), sol.y[m:].T.copy(), dt)

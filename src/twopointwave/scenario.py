@@ -50,7 +50,8 @@ from .diagnostics import (
 from .errors import (ConfigError, DomainError, InfeasibleError, InsufficientDataError,
                      SingularMatrixError)
 from .galerkin import Forcing, assemble, error_norms, uniform_mesh
-from .integrate import _resolve_steps, integrate, oracle_integrate, project_initial_data
+from .integrate import (ORACLE_MAX_DIM, _resolve_steps, integrate, oracle_integrate,
+                        project_initial_data)
 from .manufactured import FORM_NAMES, manufacture
 from .params import ProblemParams, derive_constants, validate_params
 
@@ -64,7 +65,6 @@ __all__ = [
     "sweep_scenario",
     "write_energy_csv",
     "read_energy_csv",
-    "REFERENCE_CONFIG",
 ]
 
 PARAM_KEYS = tuple(f.name for f in fields(ProblemParams))
@@ -82,31 +82,6 @@ ORACLE_TOL = 1e-6
 RATE_FRACTION = 0.95
 
 OUTDIR_ENV = "TWOPOINTWAVE_OUTDIR"
-
-# Shipped default: satisfies every hypothesis with visible margin and decays
-# well inside the horizon.
-REFERENCE_CONFIG = """\
-# reference scenario: admissible constants, homogeneous forcing
-h0 = 1.0
-h1 = 0.5
-lam0 = 1.0
-lam1 = 1.0
-lt0 = 0.1
-lt1 = 0.1
-ht0 = 0.01
-ht1 = 0.01
-K = 1.0
-lam = 1.0
-n_nodes = 65
-T = 10.0
-dt = 0.001
-initial_data = cosine
-initial_amplitude = 1.0
-forcing = none
-checks = sandwich, differential, decay_fit
-seed = 1234
-"""
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -217,8 +192,8 @@ def _validate(scn: Scenario, where) -> None:
         raise ConfigError(f"{where}: forcing = manufactured needs a 'manufactured' key")
     if "ladder" in scn.checks and scn.manufactured is None:
         raise ConfigError(f"{where}: the ladder check needs a manufactured scenario")
-    if "oracle" in scn.checks and scn.n_nodes > 8:
-        raise ConfigError(f"{where}: the oracle check needs n_nodes <= 8")
+    if "oracle" in scn.checks and scn.n_nodes > ORACLE_MAX_DIM:
+        raise ConfigError(f"{where}: the oracle check needs n_nodes <= {ORACLE_MAX_DIM}")
 
 
 def _initial_data_functions(scn: Scenario, ms):
@@ -268,10 +243,9 @@ def _write_csv(path, header, columns) -> None:
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
-def write_energy_csv(path, records, traces) -> None:
-    r = EnergyRecords.of(records)
+def write_energy_csv(path, records: EnergyRecords, traces) -> None:
     _write_csv(path, COLUMNS + ("u0_trace", "u1_trace"),
-               [getattr(r, k) for k in COLUMNS] + [traces[:, 0], traces[:, 1]])
+               [getattr(records, k) for k in COLUMNS] + [traces[:, 0], traces[:, 1]])
 
 
 def read_energy_csv(path) -> EnergyRecords:
@@ -532,19 +506,25 @@ def sweep_scenario(config_path, param: str, values: list[float], outdir=None) ->
                                   "forcing_amplitude", "forcing_rate"):
         raise ConfigError(f"cannot sweep over {param!r}")
     base_out = resolve_outdir(config_path, outdir)
+    owners: dict[Path, float] = {}  # each subdir and the value that ran in it
     worst = 0
     for value in values:
-        subdir = base_out / f"{param}_{value:g}"
-        subdir.mkdir(parents=True, exist_ok=True)
-        code = _sweep_point(scn, param, value, subdir)
+        code = _sweep_point(scn, param, value, base_out / f"{param}_{value:g}", owners)
         print(f"sweep {param}={value:g}: exit {code}")
         worst = max(worst, code)
     return worst
 
 
 @_exit_code
-def _sweep_point(scn: Scenario, param: str, value: float, outdir) -> int:
+def _sweep_point(scn: Scenario, param: str, value: float, outdir: Path, owners) -> int:
+    """Run one value of a sweep in ``outdir``, unless an earlier value of the
+    sweep, recorded in ``owners``, already used that directory."""
     where = f"{param}={value:g}"
+    if outdir in owners:
+        raise ConfigError(f"{param}={value!r}: {outdir.name} is already used by "
+                          f"{param}={owners[outdir]!r}")
+    owners[outdir] = value
+    outdir.mkdir(parents=True, exist_ok=True)
     value = _typed_number(where, param, float(value))
     if param in PARAM_KEYS:
         patched = replace(scn, params=replace(scn.params, **{param: value}))

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,9 @@ from twopointwave import (
     record_trajectory,
     uniform_mesh,
 )
+
+# The shipped reference scenario; its constants are REFERENCE below.
+REFERENCE_CFG = Path(__file__).resolve().parent.parent / "configs" / "reference.cfg"
 
 REFERENCE = ProblemParams(
     h0=1.0, h1=0.5, lam0=1.0, lam1=1.0,

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from twopointwave import (
-    EnergyRecord,
     EnergyRecords,
     Forcing,
     ProblemParams,
@@ -178,8 +177,8 @@ class TestRecordTrajectory:
         sys = assemble(uniform_mesh(5), p)
         traj = integrate(sys, Forcing(), np.zeros(5), np.zeros(5), T=0.5, dt=0.1)
         records = record_trajectory(traj, sys, p, derive_constants(p))
-        for r in records:
-            assert r.E == r.psi == r.Gamma == r.sigma == r.X == 0.0
+        for name in ("E", "psi", "Gamma", "sigma", "X"):
+            np.testing.assert_array_equal(getattr(records, name), 0.0)
 
     def test_x_identity_and_lower_bound(self, ref_system, ref_run, ref_dc, ref_params):
         traj, records = ref_run
@@ -189,13 +188,12 @@ class TestRecordTrajectory:
             c = traj.coeffs[n]
             expected = float(v @ ref_system.M @ v) + norm_1_sq(ref_system, c) \
                 + traj.accumulators[n].sum()
-            assert records[n].X == pytest.approx(expected, rel=1e-12)
+            assert records.X[n] == pytest.approx(expected, rel=1e-12)
         # X controls the energy once the K-term is routed through the
         # sup-norm embedding: E <= max(1/2, C1/2 + K) * X
         p = ref_params
         factor = min(2.0, 2.0 / (ref_dc.C1 + 2.0 * p.K))
-        for r in records:
-            assert r.X >= factor * r.E - 1e-10 * max(r.E, 1.0)
+        assert np.all(records.X >= factor * records.E - 1e-10 * np.maximum(records.E, 1.0))
 
     def test_accumulator_component_is_monotone(self, ref_run):
         traj, _ = ref_run
@@ -218,24 +216,6 @@ class TestRecordTrajectory:
             assert records.Gamma[n] == pytest.approx(
                 lyapunov(ref_system, ref_params, ref_dc, c, v), rel=1e-13)
 
-    def test_row_access(self, ref_run):
-        _, records = ref_run
-        row = records[-1]
-        assert isinstance(row, EnergyRecord)
-        assert row == EnergyRecord(t=records.t[-1], E=records.E[-1], psi=records.psi[-1],
-                                   Gamma=records.Gamma[-1], sigma=records.sigma[-1],
-                                   X=records.X[-1])
-        assert list(records)[7] == records[7]
-
-    def test_rows_convert_to_columns(self):
-        rows = [EnergyRecord(t=0.5 * n, E=n, psi=-n, Gamma=2 * n, sigma=0.0, X=3 * n)
-                for n in range(4)]
-        columns = EnergyRecords.of(rows)
-        assert EnergyRecords.of(columns) is columns
-        assert list(columns) == rows
-        np.testing.assert_array_equal(columns.Gamma, [0.0, 2.0, 4.0, 6.0])
-        assert len(EnergyRecords.of([])) == 0
-
     def test_energy_csv_round_trip_is_bit_exact(self, ref_run, tmp_path):
         traj, records = ref_run
         path = tmp_path / "energy.csv"
@@ -249,8 +229,7 @@ class TestRecordTrajectory:
 
 class TestSandwichCheck:
     def test_zero_records(self, ref_dc):
-        records = [EnergyRecord(t=0.1 * n, E=0.0, psi=0.0, Gamma=0.0, sigma=0.0, X=0.0)
-                   for n in range(5)]
+        records = flat_records(5)
         assert check_sandwich(records, ref_dc).violations == 0
 
     def test_reference_run_clean(self, ref_run, ref_dc):
@@ -272,8 +251,7 @@ class TestSandwichCheck:
         assert report.violations >= 0
 
     def test_counts_synthetic_violations(self, ref_dc):
-        records = [EnergyRecord(t=0.1 * n, E=1.0, psi=0.0, Gamma=10.0, sigma=0.0, X=0.0)
-                   for n in range(7)]
+        records = flat_records(7, E=np.ones(7), Gamma=np.full(7, 10.0))
         assert check_sandwich(records, ref_dc).violations == 7
 
     def test_matches_per_sample_reference(self, ref_run, ref_dc):
@@ -282,9 +260,9 @@ class TestSandwichCheck:
         scaled = EnergyRecords(records.t, records.E, records.psi, factors * records.Gamma,
                                records.sigma, records.X)
         violations, worst = 0, -math.inf
-        for r in scaled:
-            scale = max(r.E, 1.0)
-            gap = max(ref_dc.beta1 * r.E - r.Gamma, r.Gamma - ref_dc.beta2 * r.E)
+        for E, Gamma in zip(scaled.E.tolist(), scaled.Gamma.tolist()):
+            scale = max(E, 1.0)
+            gap = max(ref_dc.beta1 * E - Gamma, Gamma - ref_dc.beta2 * E)
             worst = max(worst, gap / scale)
             violations += gap > 1e-10 * scale
         report = check_sandwich(scaled, ref_dc)
@@ -303,8 +281,7 @@ class TestSandwichCheck:
 
 class TestDifferentialCheck:
     def test_zero_records(self, ref_dc):
-        records = [EnergyRecord(t=0.1 * n, E=0.0, psi=0.0, Gamma=0.0, sigma=0.0, X=0.0)
-                   for n in range(5)]
+        records = flat_records(5)
         assert check_differential_inequality(records, ref_dc).violations == 0
 
     def test_all_nan_records_are_violations(self, ref_dc):
@@ -322,13 +299,13 @@ class TestDifferentialCheck:
         assert report.violations == 1
 
     def test_too_few_samples(self, ref_dc):
-        records = [EnergyRecord(t=0.0, E=1.0, psi=0.0, Gamma=1.0, sigma=0.0, X=0.0)]
+        records = flat_records(1, E=np.ones(1), Gamma=np.ones(1))
         with pytest.raises(TooFewSamplesError):
             check_differential_inequality(records, ref_dc)
 
     def test_nonuniform_sampling_rejected(self, ref_dc):
-        records = [EnergyRecord(t=t, E=1.0, psi=0.0, Gamma=1.0, sigma=0.0, X=0.0)
-                   for t in (0.0, 0.1, 0.15, 0.4)]
+        records = flat_records(4, t=np.array([0.0, 0.1, 0.15, 0.4]), E=np.ones(4),
+                               Gamma=np.ones(4))
         with pytest.raises(ValueError):
             check_differential_inequality(records, ref_dc)
 
@@ -347,8 +324,7 @@ class TestDecayFit:
     @staticmethod
     def synthetic(rate, amplitude, T=10.0, dt=0.01):
         ts = np.arange(0.0, T + dt / 2, dt)
-        return [EnergyRecord(t=float(t), E=float(amplitude * np.exp(-rate * t)),
-                             psi=0.0, Gamma=0.0, sigma=0.0, X=0.0) for t in ts]
+        return flat_records(len(ts), t=ts, E=amplitude * np.exp(-rate * ts))
 
     def test_exact_exponential(self):
         report = fit_decay_rate(self.synthetic(2.0, 1.0))
@@ -372,8 +348,10 @@ class TestDecayFit:
     def test_non_finite_energy_raises(self):
         # NaN compares False against the rounding floor; dropping it would
         # fit the finite half exactly and report a clean rate of 2.
-        records = [dataclasses.replace(r, E=math.nan) if i % 2 else r
-                   for i, r in enumerate(self.synthetic(2.0, 1.0))]
+        records = self.synthetic(2.0, 1.0)
+        E = records.E.copy()
+        E[1::2] = math.nan
+        records = dataclasses.replace(records, E=E)
         with pytest.raises(InsufficientDataError, match="250 non-finite"):
             fit_decay_rate(records)
 

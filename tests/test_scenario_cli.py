@@ -3,8 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import REFERENCE_CFG
 from twopointwave import (
-    REFERENCE_CONFIG,
     ProblemParams,
     Scenario,
     check_sandwich,
@@ -61,8 +61,8 @@ def write_config(tmp_path, text, name="scenario.cfg"):
 
 
 class TestParse:
-    def test_reference_config_parses(self, tmp_path):
-        scn = parse_scenario(write_config(tmp_path, REFERENCE_CONFIG))
+    def test_reference_config_parses(self):
+        scn = parse_scenario(REFERENCE_CFG)
         assert scn.n_nodes == 65
         assert scn.T == 10.0
         assert scn.dt == 1e-3
@@ -164,7 +164,7 @@ class TestRunScenario:
         report = check_sandwich(records, dc)
         assert report.violations == 0
         # full-precision floats survive the round trip exactly
-        assert records[1].t == 0.01
+        assert records.t[1] == 0.01
         assert len(records) == 101
 
     def test_csv_writer_writes_the_bytes_of_savetxt(self, tmp_path):
@@ -326,7 +326,7 @@ class TestCli:
     def test_forcing_overflow_exits_4(self, tmp_path, capsys, rate):
         # -1000 overflows math.exp inside the load vector, -36 overflows
         # g0(t)**2 in the forcing magnitude sigma
-        text = REFERENCE_CONFIG.replace(
+        text = REFERENCE_CFG.read_text().replace(
             "forcing = none", f"forcing = boundary_exp\nforcing_rate = {rate}")
         config = write_config(tmp_path, text)
         assert main(["run", str(config), "--outdir", str(tmp_path / "o")]) == 4
@@ -335,7 +335,8 @@ class TestCli:
     @pytest.mark.parametrize("checks", ["", "checks = sandwich, differential, decay_fit\n"])
     def test_non_finite_energy_exits_4(self, tmp_path, capsys, checks):
         # E = c'Ac overflows from the first sample while the state stays finite
-        text = REFERENCE_CONFIG.replace("initial_amplitude = 1.0", "initial_amplitude = 1e200")
+        text = REFERENCE_CFG.read_text().replace("initial_amplitude = 1.0",
+                                                 "initial_amplitude = 1e200")
         text = text.replace("checks = sandwich, differential, decay_fit\n", checks)
         config = write_config(tmp_path, text)
         out = tmp_path / "o"
@@ -355,8 +356,8 @@ class TestCli:
 
     @pytest.mark.parametrize("command, text, code", [
         ("run", SMALL_RUN, 0),
-        ("run", REFERENCE_CONFIG.replace("initial_amplitude = 1.0",
-                                         "initial_amplitude = 1e200"), 4),
+        ("run", REFERENCE_CFG.read_text().replace("initial_amplitude = 1.0",
+                                                  "initial_amplitude = 1e200"), 4),
         ("converge", MMS_BASE + "alpha = -900\n", 4),
     ], ids=["healthy_run", "overflowing_run", "overflowing_converge"])
     def test_stderr_stays_empty(self, tmp_path, capfd, command, text, code):
@@ -383,6 +384,44 @@ class TestCli:
         assert "T=1.0 is not an integral multiple of dt=0.3" in out
         assert "sweep dt=0.3: exit 2" in out
         assert "sweep dt=0.1: exit 0" in out
+
+    @pytest.mark.parametrize("old, new", [("T = 10.0", "T = inf"), ("dt = 0.001", "dt = 1e-320")])
+    def test_infinite_step_count_exits_2(self, tmp_path, capsys, old, new):
+        config = write_config(tmp_path, REFERENCE_CFG.read_text().replace(old, new))
+        out = tmp_path / "o"
+        assert main(["run", str(config), "--outdir", str(out)]) == 2
+        assert "give no finite step count" in capsys.readouterr().out
+        assert not out.exists()
+
+    def test_sweep_over_T_rejects_an_infinite_horizon(self, tmp_path, capsys):
+        config = write_config(tmp_path, SMALL_RUN)
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(config), "--param", "T", "--values", "0.1", "inf",
+                     "--outdir", str(out)]) == 2
+        printed = capsys.readouterr().out
+        assert "config error: T=inf: T=inf and dt=0.01 give no finite step count" in printed
+        assert "sweep T=0.1: exit 0" in printed
+        assert "sweep T=inf: exit 2" in printed
+        assert not (out / "T_inf" / "energy.csv").exists()
+
+    def test_sweep_values_sharing_a_directory(self, tmp_path, capsys):
+        # 1.0000001 and 1.0000002 both format as 1: the second value must not
+        # overwrite the run of the first
+        config = write_config(tmp_path, SMALL_RUN)
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(config), "--param", "initial_amplitude", "--values",
+                     "1.0000001", "1.0000002", "2", "--outdir", str(out)]) == 2
+        printed = capsys.readouterr().out.splitlines()
+        assert [line for line in printed if line.startswith(("sweep", "config error"))] == [
+            "sweep initial_amplitude=1: exit 0",
+            "config error: initial_amplitude=1.0000002: initial_amplitude_1 is already used "
+            "by initial_amplitude=1.0000001",
+            "sweep initial_amplitude=1: exit 2",
+            "sweep initial_amplitude=2: exit 0",
+        ]
+        assert parse_scenario(out / "initial_amplitude_1" / "scenario.cfg").initial_amplitude \
+            == 1.0000001
+        assert (out / "initial_amplitude_2" / "energy.csv").exists()
 
     def test_out_of_range_delta_exits_2_without_artifacts(self, tmp_path, capsys):
         config = write_config(tmp_path, SMALL_RUN + "delta = 5.0\n")
@@ -414,12 +453,11 @@ class TestCli:
 
 def test_reference_scenario_end_to_end(tmp_path):
     """The shipped default: exit 0 and a fitted rate beating 0.95*delta."""
-    config = write_config(tmp_path, REFERENCE_CONFIG)
     out = tmp_path / "ref_out"
-    assert run_scenario(config, outdir=out) == 0
+    assert run_scenario(REFERENCE_CFG, outdir=out) == 0
     report = (out / "report.txt").read_text()
     assert "decay_fit: PASS" in report
-    scn = parse_scenario(config)
+    scn = parse_scenario(REFERENCE_CFG)
     dc = derive_constants(scn.params)
     fitted = float(report.split("fitted_rate=")[1].split()[0])
     assert fitted >= 0.95 * dc.delta
