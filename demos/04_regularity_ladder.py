@@ -10,6 +10,8 @@ A deliberately inconsistent shifted problem (initial velocity off by one)
 serves as the negative control.
 """
 
+from dataclasses import replace
+
 from twopointwave import (
     ProblemParams,
     ladder_check,
@@ -17,7 +19,6 @@ from twopointwave import (
     smooth_data_from_manufactured,
     uniform_mesh,
 )
-from twopointwave.compat import SmoothData
 
 params = ProblemParams(h0=1.0, h1=0.5, lam0=1.0, lam1=1.0,
                        ht0=0.01, ht1=0.01, lt0=0.1, lt1=0.1, K=1.0, lam=1.0)
@@ -33,12 +34,9 @@ for r in (1, 2):
 
 print("\nnegative control: shift the level-1 initial velocity by +1")
 data = smooth_data_from_manufactured(ms, 1)
-perturbed = SmoothData(
-    u0=data.u0, u1=data.u1, u0_xx=data.u0_xx, u1_xx=data.u1_xx,
-    f_time_derivs=((lambda x, t: data.f_time_derivs[0](x, t) + 1.0),)
-    + data.f_time_derivs[1:],
-    g0_derivs=data.g0_derivs, g1_derivs=data.g1_derivs,
-)
+level0 = data.forcing_derivs[0]
+perturbed = replace(data, forcing_derivs=(
+    replace(level0, f=lambda x, t: level0.f(x, t) + 1.0),) + data.forcing_derivs[1:])
 report = ladder_check(perturbed, params, uniform_mesh(65), ms.forcing(),
                       r=1, T=1.0, dt=4e-3)
 print(f"relative discrepancy {report.rel_discrepancy:.3e} (should be large)")

@@ -27,7 +27,6 @@ from .integrate import (
     Trajectory,
     MidpointStepper,
     project_initial_data,
-    step,
     integrate,
     oracle_integrate,
 )

@@ -42,19 +42,17 @@ FD_STEP = 1e-4
 class SmoothData:
     """Initial data and forcing derivatives for the recurrence.
 
-    ``f_time_derivs[k]`` is d^k f/dt^k as a function of (x, t); ``g0_derivs``
-    and ``g1_derivs`` hold the matching boundary-data derivatives as
-    functions of t.  Analytic second space derivatives of u0/u1 are optional;
-    a high-order finite-difference stencil fills in when they are omitted.
+    ``forcing_derivs[k]`` is the forcing of the k-times time-differentiated
+    problem: d^k f/dt^k, d^k g0/dt^k and d^k g1/dt^k.  Analytic second space
+    derivatives of u0/u1 are optional; a high-order finite-difference stencil
+    fills in when they are omitted.
     """
 
     u0: Callable
     u1: Callable
     u0_xx: Callable | None = None
     u1_xx: Callable | None = None
-    f_time_derivs: tuple[Callable, ...] = ()
-    g0_derivs: tuple[Callable, ...] = ()
-    g1_derivs: tuple[Callable, ...] = ()
+    forcing_derivs: tuple[Forcing, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -82,22 +80,23 @@ def compatibility_data(data: SmoothData, p: ProblemParams, r: int):
     """Initial data (u0^[r], u1^[r]) of the r-times differentiated problem.
 
     Raises OrderError when ``data`` lacks a forcing derivative the recurrence
-    needs (levels 1..r consume ``f_time_derivs[0..r-1]``).
+    needs (levels 1..r consume the f of ``forcing_derivs[0..r-1]``).
     """
     if r < 0:
         raise OrderError(f"order must be non-negative, got {r}")
     u0_fn, u0_xx = data.u0, data.u0_xx
     u1_fn, u1_xx = data.u1, data.u1_xx
     for k in range(1, r + 1):
-        if k - 1 >= len(data.f_time_derivs):
+        if k - 1 >= len(data.forcing_derivs):
             raise OrderError(
                 f"recurrence level {k} needs f time derivative of order {k - 1}"
             )
-        f_prev = data.f_time_derivs[k - 1]
+        f_prev = data.forcing_derivs[k - 1].f
         d2 = u0_xx if u0_xx is not None else _fd_second_derivative(u0_fn)
 
         def u1_next(x, _d2=d2, _u0=u0_fn, _u1=u1_fn, _f=f_prev):
-            return _d2(x) - p.K * _u0(x) - p.lam * _u1(x) + _f(x, 0.0)
+            f0 = 0.0 if _f is None else _f(x, 0.0)
+            return _d2(x) - p.K * _u0(x) - p.lam * _u1(x) + f0
 
         u0_fn, u0_xx = u1_fn, u1_xx
         u1_fn, u1_xx = u1_next, None
@@ -111,11 +110,7 @@ def smooth_data_from_manufactured(ms: ManufacturedSolution, r: int) -> SmoothDat
         u1=ms.u1,
         u0_xx=lambda x: ms.uxx(x, 0.0),
         u1_xx=lambda x: ms.uxx(x, 0.0, dt_order=1),
-        f_time_derivs=tuple(
-            (lambda x, t, _k=k: ms.f(x, t, dt_order=_k)) for k in range(r + 1)
-        ),
-        g0_derivs=tuple((lambda t, _k=k: ms.g0(t, dt_order=_k)) for k in range(r + 1)),
-        g1_derivs=tuple((lambda t, _k=k: ms.g1(t, dt_order=_k)) for k in range(r + 1)),
+        forcing_derivs=tuple(ms.forcing(k) for k in range(r + 1)),
     )
 
 
@@ -140,13 +135,12 @@ def ladder_check(
     compare the r-th centered time difference of the base nodal trajectory
     against the differentiated problem's trajectory.
 
-    The differentiated problem uses ``data.f_time_derivs[r]`` and the
-    g-derivative lists at index r, so those must extend one level past what
-    the recurrence itself consumes.
+    The differentiated problem is forced by ``data.forcing_derivs[r]``, one
+    level past what the recurrence itself consumes.
     """
     if r not in (1, 2):
         raise ValueError(f"ladder order must be 1 or 2, got {r}")
-    if r >= len(data.f_time_derivs) or r >= len(data.g0_derivs) or r >= len(data.g1_derivs):
+    if r >= len(data.forcing_derivs):
         raise OrderError(f"ladder at order {r} needs forcing derivatives up to order {r}")
 
     sys = assemble(mesh, p)
@@ -154,13 +148,8 @@ def ladder_check(
     base = integrate(sys, forcing, c0, v0, T, dt)
 
     u0_r, u1_r = compatibility_data(data, p, r)
-    forcing_r = Forcing(
-        f=data.f_time_derivs[r],
-        g0=data.g0_derivs[r],
-        g1=data.g1_derivs[r],
-    )
     c0_r, v0_r = project_initial_data(mesh, u0_r, u1_r)
-    shifted = integrate(sys, forcing_r, c0_r, v0_r, T, dt)
+    shifted = integrate(sys, data.forcing_derivs[r], c0_r, v0_r, T, dt)
 
     diff_base = _centered_time_derivative(base.coeffs, dt, r)
     target = shifted.coeffs[1:-1]

@@ -221,36 +221,25 @@ def check_differential_inequality(
     )
 
 
-def fit_decay_rate(
-    records: EnergyRecords,
-    fit_window: tuple[float, float] | None = None,
-    theoretical_delta: float = math.nan,
-) -> DecayReport:
-    """Ordinary least squares of log E against t over the window.
-
-    The window defaults to the tail half of the horizon, [T/2, T], and is
-    clipped to samples with E above the rounding floor.  The residual is the
-    root-mean-square misfit of the fit in log space.
+def fit_decay_rate(records: EnergyRecords, theoretical_delta: float = math.nan) -> DecayReport:
+    """Ordinary least squares of log E against t over the tail half of the
+    horizon, [T/2, T], clipped to samples with E above the rounding floor.
+    The residual is the root-mean-square misfit of the fit in log space.
 
     Raises InsufficientDataError when any sample in the window is non-finite
     (a broken run has no decay rate), or when fewer than 10 usable samples
     remain (the energy underflowed, i.e. decay was too fast for the horizon).
     """
     t, E = records.t, records.E
-    if fit_window is None:
-        t_end = t[-1]
-        fit_window = (0.5 * t_end, t_end)
-    in_window = (t >= fit_window[0]) & (t <= fit_window[1])
+    lo, hi = 0.5 * float(t[-1]), float(t[-1])
+    window = f"window [{lo:g}, {hi:g}]"
+    in_window = (t >= lo) & (t <= hi)
     n_bad = int(np.count_nonzero(~np.isfinite(E[in_window])))
     if n_bad:
-        raise InsufficientDataError(
-            f"{n_bad} non-finite energy samples in window {fit_window}"
-        )
+        raise InsufficientDataError(f"{n_bad} non-finite energy samples in {window}")
     mask = in_window & (E > ENERGY_FLOOR)
     if int(mask.sum()) < 10:
-        raise InsufficientDataError(
-            f"only {int(mask.sum())} usable samples in window {fit_window}"
-        )
+        raise InsufficientDataError(f"only {int(mask.sum())} usable samples in {window}")
     logE = np.log(E[mask])
     slope, intercept = np.polyfit(t[mask], logE, 1)
     resid = np.sqrt(np.mean((logE - (slope * t[mask] + intercept)) ** 2))
@@ -258,6 +247,6 @@ def fit_decay_rate(
         fitted_rate=float(-slope),
         fitted_amplitude=float(np.exp(intercept)),
         theoretical_delta=theoretical_delta,
-        fit_window=(float(fit_window[0]), float(fit_window[1])),
+        fit_window=(lo, hi),
         residual=float(resid),
     )

@@ -73,9 +73,10 @@ def uniform_mesh(n_nodes: int) -> Mesh:
 class Forcing:
     """Interior load f(x, t) plus boundary data g0(t), g1(t).
 
-    ``f`` must broadcast over both arguments: it is called with the Gauss
-    points, shape (n-1, 3), and a block of k times, shape (k, 1, 1) (a scalar
-    for one time), and its value must broadcast to (k, n-1, 3).  ``g0`` and
+    ``f`` must broadcast over both arguments: the load quadrature calls it
+    with the Gauss points, shape (n-1, 3), and a block of k times, shape
+    (k, 1, 1), one time being a block of one, and its value must broadcast to
+    (k, n-1, 3); ``compat`` evaluates f(x, 0.0) for initial data.  ``g0`` and
     ``g1`` are called with one time at a time, so a ``math.exp`` closure will
     do, and an overflow there still raises.  ``None`` for any component means
     identically zero (and skips its work).
@@ -163,40 +164,38 @@ def time_blocks(sys: GalerkinSystem, n_times: int) -> list[slice]:
 
 
 def _quad_values(f: Callable, quad_x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """f at the Gauss points for every time in t: shape t.shape + quad_x.shape.
-
-    One time (a 0-d ``t``) is passed to f as a scalar, which keeps the
-    per-step calls of ``MidpointStepper.step`` and the oracle cheap.
-    """
-    vals = np.asarray(f(quad_x, t[:, None, None] if t.ndim else t[()]), dtype=float)
+    """f at the Gauss points for every time in the 1-d array t: shape
+    t.shape + quad_x.shape."""
+    vals = np.asarray(f(quad_x, t[:, None, None]), dtype=float)
     shape = t.shape + quad_x.shape
     return vals if vals.shape == shape else np.broadcast_to(vals, shape)
 
 
 def _boundary_values(g: Callable, t: np.ndarray) -> np.ndarray:
-    """g at every time in t (0-d or 1-d), called with one time at a time."""
-    if not t.ndim:
-        return np.asarray(float(g(t[()])))
+    """g at every time in the 1-d array t, called with one time at a time."""
     return np.array([float(g(s)) for s in t])
 
 
 def load_vector(sys: GalerkinSystem, forcing: Forcing, t) -> np.ndarray:
     """Right-hand side F(t): boundary data plus quadrature of <f(., t), w_j>.
 
-    ``t`` is one time, giving a vector of length m, or a 1-d array of k
-    times, giving one row per time, shape (k, m).  f is evaluated once for all
-    times; every row equals the load of its time computed alone, bit for bit.
+    ``t`` is a 1-d array of k times, giving one row per time, shape (k, m),
+    or one time, evaluated as a block of one and giving its row.  f is
+    evaluated once for all times; every row equals the load of its time
+    computed alone, bit for bit.
     """
     t = np.asarray(t, dtype=float)
-    F = np.zeros(t.shape + (sys.m,))
+    if t.ndim == 0:
+        return load_vector(sys, forcing, t[None])[0]
+    F = np.zeros((len(t), sys.m))
     if forcing.g0 is not None:
-        F[..., 0] -= _boundary_values(forcing.g0, t)
+        F[:, 0] -= _boundary_values(forcing.g0, t)
     if forcing.g1 is not None:
-        F[..., -1] -= _boundary_values(forcing.g1, t)
+        F[:, -1] -= _boundary_values(forcing.g1, t)
     if forcing.f is not None:
         scaled = (0.5 * sys.mesh.h) * _quad_values(forcing.f, sys.quad_x, t) * _GAUSS_W
-        F[..., :-1] += scaled @ _SHAPE_LEFT
-        F[..., 1:] += scaled @ _SHAPE_RIGHT
+        F[:, :-1] += scaled @ _SHAPE_LEFT
+        F[:, 1:] += scaled @ _SHAPE_RIGHT
     return F
 
 

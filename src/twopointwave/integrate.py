@@ -21,7 +21,6 @@ from .galerkin import Forcing, GalerkinSystem, Mesh, load_vector, time_blocks
 __all__ = [
     "Trajectory",
     "project_initial_data",
-    "step",
     "integrate",
     "oracle_integrate",
     "MidpointStepper",
@@ -97,20 +96,6 @@ class MidpointStepper:
         v, c = z[:len(vm)], z[len(vm):]
         np.subtract(2.0 * vm, v, out=v)
         c += self.dt * vm
-
-
-def step(sys: GalerkinSystem, forcing: Forcing, state, t: float, dt: float):
-    """Single midpoint update (c, v) -> (c, v) at t + dt.
-
-    Convenience wrapper that factors the iteration matrix on each call; use
-    ``integrate`` (one factorization for the whole run) for long trajectories.
-    """
-    c, v = state
-    c = np.asarray(c, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if c.shape != (sys.m,) or v.shape != (sys.m,):
-        raise DimensionError(f"state vectors must have length {sys.m}")
-    return MidpointStepper(sys, dt).step(forcing, c, v, t)
 
 
 def _resolve_steps(T: float, dt: float) -> int:

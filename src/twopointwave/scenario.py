@@ -13,7 +13,8 @@ per line, ``#`` starts a comment, numbers are decimal reals.  Keys:
     manufactured       registry form name; implies forcing/initial data
     alpha              decay rate of the exponential registry forms
     checks             comma list of sandwich, differential, decay_fit,
-                       ladder, oracle                    (default empty)
+                       ladder, oracle (differential and ladder need
+                       T/dt >= 2)                        (default empty)
     seed               integer for randomized sweeps     (default 0)
     write_solution     true | false: emit nodal snapshots (default false)
     eps1 eps2 delta    optional Lyapunov tuning overrides
@@ -70,6 +71,8 @@ __all__ = [
 PARAM_KEYS = tuple(f.name for f in fields(ProblemParams))
 CHECK_NAMES = ("sandwich", "differential", "decay_fit", "ladder", "oracle")
 DECAY_CHECKS = frozenset({"sandwich", "differential", "decay_fit"})
+# Checks taking centered time differences, which need three samples.
+STENCIL_CHECKS = frozenset({"differential", "ladder"})
 INITIAL_DATA_NAMES = ("zero", "cosine", "affine")
 FORCING_NAMES = ("none", "boundary_exp", "manufactured")
 # Keys whose value must be one of a fixed set of names.
@@ -185,9 +188,13 @@ def _validate(scn: Scenario, where) -> None:
     if scn.T <= 0 or scn.dt <= 0 or scn.n_nodes < 2:
         raise ConfigError(f"{where}: need T > 0, dt > 0 and n_nodes >= 2")
     try:
-        _resolve_steps(scn.T, scn.dt)
+        n_steps = _resolve_steps(scn.T, scn.dt)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    stencil_checks = [c for c in scn.checks if c in STENCIL_CHECKS]
+    if stencil_checks and n_steps < 2:
+        raise ConfigError(f"{where}: the {stencil_checks[0]} check needs T/dt >= 2, "
+                          f"got {n_steps}")
     if scn.forcing == "manufactured" and scn.manufactured is None:
         raise ConfigError(f"{where}: forcing = manufactured needs a 'manufactured' key")
     if "ladder" in scn.checks and scn.manufactured is None:
@@ -330,13 +337,8 @@ def _write_report(path, scn: Scenario, dc, results, decay_report, overall) -> No
         f"{k}={getattr(scn.params, k):g}" for k in PARAM_KEYS) + "\n")
     buf.write(f"discretization: n_nodes={scn.n_nodes} T={scn.T:g} dt={scn.dt:g}\n")
     if dc is not None:
-        buf.write(
-            "derived constants: "
-            f"C0={_fmt(dc.C0)} C1={_fmt(dc.C1)} mu_min={_fmt(dc.mu_min)} "
-            f"mu0={_fmt(dc.mu0)} eps1={_fmt(dc.eps1)} eps2={_fmt(dc.eps2)} "
-            f"delta={_fmt(dc.delta)} beta1={_fmt(dc.beta1)} beta2={_fmt(dc.beta2)} "
-            f"htilde_budget={_fmt(dc.htilde_budget)}\n"
-        )
+        buf.write("derived constants: " + " ".join(
+            f"{f.name}={_fmt(getattr(dc, f.name))}" for f in fields(dc)) + "\n")
     else:
         buf.write("derived constants: unavailable (decay hypotheses not satisfied)\n")
     if decay_report is not None:
@@ -518,21 +520,22 @@ def sweep_scenario(config_path, param: str, values: list[float], outdir=None) ->
 @_exit_code
 def _sweep_point(scn: Scenario, param: str, value: float, outdir: Path, owners) -> int:
     """Run one value of a sweep in ``outdir``, unless an earlier value of the
-    sweep, recorded in ``owners``, already used that directory."""
+    sweep, recorded in ``owners``, already used that directory.  Nothing is
+    written for a value that gives an invalid scenario."""
     where = f"{param}={value:g}"
     if outdir in owners:
         raise ConfigError(f"{param}={value!r}: {outdir.name} is already used by "
                           f"{param}={owners[outdir]!r}")
+    typed = _typed_number(where, param, float(value))
+    if param in PARAM_KEYS:
+        patched = replace(scn, params=replace(scn.params, **{param: typed}))
+    else:
+        patched = replace(scn, **{param: typed})
+    _validate(patched, where)
     owners[outdir] = value
     outdir.mkdir(parents=True, exist_ok=True)
-    value = _typed_number(where, param, float(value))
-    if param in PARAM_KEYS:
-        patched = replace(scn, params=replace(scn.params, **{param: value}))
-    else:
-        patched = replace(scn, **{param: value})
     # written for reproducibility: parse_scenario gives back ``patched``
     (outdir / "scenario.cfg").write_text(_scenario_to_config(patched))
-    _validate(patched, where)
     return execute(patched, outdir)
 
 

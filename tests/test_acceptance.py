@@ -7,6 +7,7 @@ to see the lines for passing criteria as well.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +31,6 @@ from twopointwave import (
     smooth_data_from_manufactured,
     uniform_mesh,
 )
-from twopointwave.compat import SmoothData
 from twopointwave.scenario import Scenario, convergence_study
 
 REF = ProblemParams(h0=1.0, h1=0.5, lam0=1.0, lam1=1.0, ht0=0.01, ht1=0.01,
@@ -233,12 +233,9 @@ def test_criterion_8_regularity_ladder():
     mesh = uniform_mesh(257)
     report = ladder_check(data, REF, mesh, ms.forcing(), r=1, T=1.0, dt=1e-3)
 
-    perturbed = SmoothData(
-        u0=data.u0, u1=data.u1, u0_xx=data.u0_xx, u1_xx=data.u1_xx,
-        f_time_derivs=((lambda x, t: data.f_time_derivs[0](x, t) + 1.0),)
-        + data.f_time_derivs[1:],
-        g0_derivs=data.g0_derivs, g1_derivs=data.g1_derivs,
-    )
+    level0 = data.forcing_derivs[0]
+    perturbed = replace(data, forcing_derivs=(
+        replace(level0, f=lambda x, t: level0.f(x, t) + 1.0),) + data.forcing_derivs[1:])
     control = ladder_check(perturbed, REF, mesh, ms.forcing(), r=1, T=1.0, dt=1e-3)
 
     ok = report.rel_discrepancy <= 1e-2 and control.rel_discrepancy >= 0.1

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,7 @@ def cosine_data(with_analytic_xx=True, f_levels=2):
         u1=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         u0_xx=(lambda x: -np.pi**2 * np.cos(np.pi * x)) if with_analytic_xx else None,
         u1_xx=(lambda x: np.zeros_like(np.asarray(x, dtype=float))) if with_analytic_xx else None,
-        f_time_derivs=(zero_xt,) * f_levels,
+        forcing_derivs=(Forcing(f=zero_xt),) * f_levels,
     )
 
 
@@ -77,16 +79,16 @@ class TestRecurrence:
             u1=lambda x: 1.0 - x,
             u0_xx=lambda x: 2.0 + 0.0 * np.asarray(x, dtype=float),
             u1_xx=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            f_time_derivs=(lambda x, t: np.sin(x) + 0.0 * t,) * 2,
+            forcing_derivs=(Forcing(f=lambda x, t: np.sin(x) + 0.0 * t),) * 2,
         )
         combined = SmoothData(
             u0=lambda x: a.u0(x) + b.u0(x),
             u1=lambda x: a.u1(x) + b.u1(x),
             u0_xx=lambda x: a.u0_xx(x) + b.u0_xx(x),
             u1_xx=lambda x: a.u1_xx(x) + b.u1_xx(x),
-            f_time_derivs=tuple(
-                (lambda x, t, fa=fa, fb=fb: fa(x, t) + fb(x, t))
-                for fa, fb in zip(a.f_time_derivs, b.f_time_derivs)
+            forcing_derivs=tuple(
+                replace(fa, f=lambda x, t, fa=fa, fb=fb: fa.f(x, t) + fb.f(x, t))
+                for fa, fb in zip(a.forcing_derivs, b.forcing_derivs)
             ),
         )
         for r in (1, 2):
@@ -109,9 +111,7 @@ class TestLadder:
             u1=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
             u0_xx=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
             u1_xx=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            f_time_derivs=(zero_xt, zero_xt),
-            g0_derivs=(zero_t, zero_t),
-            g1_derivs=(zero_t, zero_t),
+            forcing_derivs=(Forcing(f=zero_xt, g0=zero_t, g1=zero_t),) * 2,
         )
         report = ladder_check(data, REF, uniform_mesh(17), Forcing(), 1, T=0.5, dt=1e-2)
         assert report.abs_discrepancy == 0.0
@@ -141,12 +141,9 @@ class TestLadder:
         # exactly 1 while leaving both solver forcings untouched
         ms = manufacture("decaying_cosine", REF)
         data = smooth_data_from_manufactured(ms, 1)
-        perturbed = SmoothData(
-            u0=data.u0, u1=data.u1, u0_xx=data.u0_xx, u1_xx=data.u1_xx,
-            f_time_derivs=((lambda x, t: data.f_time_derivs[0](x, t) + 1.0),)
-            + data.f_time_derivs[1:],
-            g0_derivs=data.g0_derivs, g1_derivs=data.g1_derivs,
-        )
+        level0 = data.forcing_derivs[0]
+        perturbed = replace(data, forcing_derivs=(
+            replace(level0, f=lambda x, t: level0.f(x, t) + 1.0),) + data.forcing_derivs[1:])
         report = ladder_check(perturbed, REF, uniform_mesh(65), ms.forcing(), 1, T=1.0, dt=2e-3)
         assert report.rel_discrepancy >= 0.1
 

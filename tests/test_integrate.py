@@ -20,7 +20,6 @@ from twopointwave import (
     manufacture,
     oracle_integrate,
     project_initial_data,
-    step,
     uniform_mesh,
 )
 from twopointwave.errors import DimensionError, SingularMatrixError
@@ -72,7 +71,7 @@ class TestProjectInitialData:
 class TestStep:
     def test_equilibrium_is_fixed(self):
         sys = assemble(uniform_mesh(5), P)
-        c, v = step(sys, Forcing(), (np.zeros(5), np.zeros(5)), 0.0, 0.01)
+        c, v = MidpointStepper(sys, 0.01).step(Forcing(), np.zeros(5), np.zeros(5), 0.0)
         np.testing.assert_array_equal(c, 0.0)
         np.testing.assert_array_equal(v, 0.0)
 
@@ -92,11 +91,6 @@ class TestStep:
             E = 0.5 * v[0] ** 2 + 0.5 * omega**2 * c[0] ** 2
             drift = max(drift, abs(E - E0))
         assert drift <= 1e-12 * E0
-
-    def test_dimension_mismatch(self):
-        sys = assemble(uniform_mesh(5), P)
-        with pytest.raises(DimensionError):
-            step(sys, Forcing(), (np.zeros(4), np.zeros(4)), 0.0, 0.01)
 
     @pytest.mark.parametrize("n", [2, 65])
     def test_sparse_step_matches_dense_solve(self, n):
@@ -145,7 +139,7 @@ class TestStep:
         sys = scalar_system(1.0, 1.0)
         sys.K_mat = np.array([[-4.0 / dt**2]])
         with pytest.raises(SingularMatrixError):
-            step(sys, Forcing(), (np.ones(1), np.zeros(1)), 0.0, dt)
+            MidpointStepper(sys, dt)
 
 
 class TestIntegrate:
@@ -261,6 +255,29 @@ class TestBatchedForcing:
         per_block = BLOCK_VALUES // sys.quad_x.size
         assert len(calls) == math.ceil(50 / per_block) < 50
         assert calls[0] == (per_block, 1, 1)
+
+    @pytest.mark.parametrize("caller", ["load_vector", "stepper", "oracle", "integrate"])
+    def test_f_only_sees_blocks_of_times(self, caller):
+        # one time reaches f as a block of one, shape (1, 1, 1), never a scalar
+        shapes = []
+
+        def f(x, t):
+            shapes.append(np.shape(t))
+            return np.sin(3.0 * x + t)
+
+        sys = assemble(uniform_mesh(3), P)
+        forcing, c, v = Forcing(f=f, g0=math.cos), np.ones(3), np.zeros(3)
+        if caller == "load_vector":
+            load_vector(sys, forcing, 0.3)
+        elif caller == "stepper":
+            MidpointStepper(sys, 0.01).step(forcing, c, v, 0.3)
+        elif caller == "oracle":
+            oracle_integrate(sys, forcing, c, v, T=0.02, dt=0.01)
+        else:
+            integrate(sys, forcing, c, v, T=0.02, dt=0.01)
+        assert shapes and all(len(s) == 3 and s[1:] == (1, 1) for s in shapes)
+        if caller != "integrate":
+            assert set(shapes) == {(1, 1, 1)}
 
 
 class TestOracle:

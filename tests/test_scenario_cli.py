@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -319,7 +320,7 @@ class TestCli:
         assert "config error: n_nodes=9.5: n_nodes: expected an integer, got 9.5" in printed
         assert "sweep n_nodes=9.5: exit 2" in printed
         assert "sweep n_nodes=9: exit 0" in printed
-        assert list((out / "n_nodes_9.5").iterdir()) == []
+        assert not (out / "n_nodes_9.5").exists()
         assert (out / "n_nodes_9" / "energy.csv").exists()
 
     @pytest.mark.parametrize("rate", [-1000.0, -36.0])
@@ -402,7 +403,46 @@ class TestCli:
         assert "config error: T=inf: T=inf and dt=0.01 give no finite step count" in printed
         assert "sweep T=0.1: exit 0" in printed
         assert "sweep T=inf: exit 2" in printed
-        assert not (out / "T_inf" / "energy.csv").exists()
+        assert not (out / "T_inf").exists()
+
+    @pytest.mark.parametrize("config, code", [
+        ("reference", 2), ("conservation_control", 0), ("manufactured_cosine", 2),
+        ("oracle_tiny", 0),
+    ])
+    def test_one_step_run_of_each_shipped_config(self, tmp_path, capfd, config, code):
+        # T = dt: a check whose centered differences need three samples is a
+        # config error, not a traceback
+        shipped = REFERENCE_CFG.parent / f"{config}.cfg"
+        dt = parse_scenario(shipped).dt
+        text = re.sub(r"^T = .*$", f"T = {dt!r}", shipped.read_text(), flags=re.MULTILINE)
+        out = tmp_path / "o"
+        assert main(["run", str(write_config(tmp_path, text)), "--outdir", str(out)]) == code
+        printed = capfd.readouterr()
+        assert printed.err == ""
+        if code == 2:
+            assert re.fullmatch(r"config error: .*: the \w+ check needs T/dt >= 2, got 1\n",
+                                printed.out)
+            assert not out.exists()
+
+    def test_sweep_over_T_rejects_a_one_step_differential_check(self, tmp_path, capsys):
+        config = write_config(tmp_path, SMALL_RUN.replace("sandwich", "differential"))
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(config), "--param", "T", "--values", "0.01", "0.02",
+                     "--outdir", str(out)]) == 2
+        printed = capsys.readouterr().out
+        assert "config error: T=0.01: the differential check needs T/dt >= 2, got 1" in printed
+        assert "sweep T=0.02: exit 0" in printed
+        assert not (out / "T_0.01").exists()
+
+    def test_unfittable_decay_prints_plain_numbers(self, tmp_path, capsys):
+        text = REFERENCE_CFG.read_text().replace("T = 10.0", "T = 0.001").replace(
+            "sandwich, differential, decay_fit", "decay_fit")
+        out = tmp_path / "o"
+        assert main(["run", str(write_config(tmp_path, text)), "--outdir", str(out)]) == 1
+        printed = capsys.readouterr().out
+        line = "decay_fit: FAIL (unfittable: only 1 usable samples in window [0.0005, 0.001])"
+        assert line in printed and line in (out / "report.txt").read_text()
+        assert "np.float64" not in printed
 
     def test_sweep_values_sharing_a_directory(self, tmp_path, capsys):
         # 1.0000001 and 1.0000002 both format as 1: the second value must not
