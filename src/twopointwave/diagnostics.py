@@ -16,7 +16,9 @@ and the dissipation inequality
 
 whose discrete check uses centered differences with an explicitly
 dt-dependent tolerance calibrated by Richardson comparison of a run pair
-(dt, dt/2).
+(dt, dt/2).  The pair only widens the tolerance beyond its 1e-8 floor, so a
+scenario run makes the dt/2 run only when a margin exceeds the floor or is
+not finite.
 """
 
 from __future__ import annotations
@@ -203,7 +205,10 @@ def check_differential_inequality(
     The tolerance is c_dt*dt^2 + 1e-8; a non-finite margin counts as a
     violation.  When ``refined_records`` (a run of the same scenario at dt/2)
     is given, c_dt is estimated by Richardson comparison of the two worst
-    margins; otherwise it is 0.
+    margins; otherwise it is 0.  Since c_dt >= 0, a report without
+    violations at c_dt = 0 stays without them at any c_dt: a scenario run
+    makes the dt/2 run only when a margin exceeds the 1e-8 floor or is not
+    finite, and then reports that run's tolerance.
     """
     margins, dt = _dissipation_margins(records, dc)
     c_dt = 0.0
@@ -216,7 +221,7 @@ def check_differential_inequality(
     return DifferentialReport(
         violations=int(np.count_nonzero(~(margins <= tol))),
         worst_margin=float(margins.max()),
-        tolerance=tol,
+        tolerance=float(tol),
         c_dt=float(c_dt),
     )
 

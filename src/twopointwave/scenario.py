@@ -1,7 +1,7 @@
 """Scenario configs, batch execution and CSV/report emission.
 
 Config grammar: a flat key-value text file, one ``key = value`` assignment
-per line, ``#`` starts a comment, numbers are decimal reals.  Keys:
+per line, ``#`` starts a comment, numbers are finite decimal reals.  Keys:
 
     h0 h1 lam0 lam1 ht0 ht1 lt0 lt1 K lam    problem constants (required)
     n_nodes T dt                             discretization (required)
@@ -71,6 +71,9 @@ __all__ = [
 PARAM_KEYS = tuple(f.name for f in fields(ProblemParams))
 CHECK_NAMES = ("sandwich", "differential", "decay_fit", "ladder", "oracle")
 DECAY_CHECKS = frozenset({"sandwich", "differential", "decay_fit"})
+# Real-valued keys that must be finite; T and dt have their own rules.
+FINITE_KEYS = PARAM_KEYS + ("initial_amplitude", "forcing_amplitude", "forcing_rate", "alpha")
+SWEEP_KEYS = FINITE_KEYS + ("n_nodes", "T", "dt")
 # Checks taking centered time differences, which need three samples.
 STENCIL_CHECKS = frozenset({"differential", "ladder"})
 INITIAL_DATA_NAMES = ("zero", "cosine", "affine")
@@ -191,6 +194,10 @@ def _validate(scn: Scenario, where) -> None:
         n_steps = _resolve_steps(scn.T, scn.dt)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    named = {**vars(scn.params), **vars(scn)}
+    for key in FINITE_KEYS:
+        if not math.isfinite(named[key]):
+            raise ConfigError(f"{where}: {key} must be finite, got {named[key]}")
     stencil_checks = [c for c in scn.checks if c in STENCIL_CHECKS]
     if stencil_checks and n_steps < 2:
         raise ConfigError(f"{where}: the {stencil_checks[0]} check needs T/dt >= 2, "
@@ -290,10 +297,14 @@ def _run_checks(scn: Scenario, sys, dc, forcing, traj, records, ms) -> tuple[lis
                 name, rep.violations == 0,
                 f"violations={rep.violations} worst_ratio={rep.worst_ratio:.3e}"))
         elif name == "differential":
-            refined = integrate(sys, forcing, traj.coeffs[0], traj.velocities[0],
-                                scn.T, scn.dt / 2.0)
-            refined_records = record_trajectory(refined, sys, scn.params, dc, forcing)
-            rep = check_differential_inequality(records, dc, refined_records)
+            # The dt/2 rerun can only widen the tolerance, so it runs only
+            # when the floor alone finds a violation.
+            rep = check_differential_inequality(records, dc)
+            if rep.violations:
+                refined = integrate(sys, forcing, traj.coeffs[0], traj.velocities[0],
+                                    scn.T, scn.dt / 2.0)
+                refined_records = record_trajectory(refined, sys, scn.params, dc, forcing)
+                rep = check_differential_inequality(records, dc, refined_records)
             results.append(_CheckResult(
                 name, rep.violations == 0,
                 f"violations={rep.violations} worst_margin={rep.worst_margin:.3e} "
@@ -504,8 +515,7 @@ def converge_scenario(config_path, levels: int, outdir=None) -> int:
 def sweep_scenario(config_path, param: str, values: list[float], outdir=None) -> int:
     """Run the scenario once per value of ``param``, each in its own subdir."""
     scn = parse_scenario(config_path)
-    if param not in PARAM_KEYS + ("n_nodes", "T", "dt", "alpha", "initial_amplitude",
-                                  "forcing_amplitude", "forcing_rate"):
+    if param not in SWEEP_KEYS:
         raise ConfigError(f"cannot sweep over {param!r}")
     base_out = resolve_outdir(config_path, outdir)
     owners: dict[Path, float] = {}  # each subdir and the value that ran in it

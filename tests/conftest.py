@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from twopointwave import (
+    EnergyRecords,
     Forcing,
     ProblemParams,
     assemble,
@@ -24,6 +25,14 @@ REFERENCE = ProblemParams(
     ht0=0.01, ht1=0.01, lt0=0.1, lt1=0.1,
     K=1.0, lam=1.0,
 )
+
+
+def flat_records(n, **overrides):
+    """n zero records at spacing 0.1, with the given columns replaced."""
+    columns = dict(t=0.1 * np.arange(n), E=np.zeros(n), psi=np.zeros(n),
+                   Gamma=np.zeros(n), sigma=np.zeros(n), X=np.zeros(n))
+    columns.update(overrides)
+    return EnergyRecords(**columns)
 
 
 @pytest.fixture(scope="session")

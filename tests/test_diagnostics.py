@@ -25,19 +25,12 @@ from twopointwave import (
     write_energy_csv,
 )
 from twopointwave.galerkin import time_blocks
+from conftest import flat_records
 from twopointwave.errors import (
     DimensionError,
     InsufficientDataError,
     TooFewSamplesError,
 )
-
-
-def flat_records(n, **overrides):
-    """n zero records at spacing 0.1, with the given columns replaced."""
-    columns = dict(t=0.1 * np.arange(n), E=np.zeros(n), psi=np.zeros(n),
-                   Gamma=np.zeros(n), sigma=np.zeros(n), X=np.zeros(n))
-    columns.update(overrides)
-    return EnergyRecords(**columns)
 
 
 def with_nan(n, column, index):
@@ -297,6 +290,12 @@ class TestDifferentialCheck:
         # a NaN forcing magnitude poisons only its own sample
         report = check_differential_inequality(with_nan(9, "sigma", 4), ref_dc)
         assert report.violations == 1
+
+    def test_tolerance_is_a_python_float(self, ref_dc):
+        report = check_differential_inequality(flat_records(5), ref_dc)
+        assert type(report.tolerance) is float
+        assert repr(report) == ("DifferentialReport(violations=0, worst_margin=0.0, "
+                                "tolerance=1e-08, c_dt=0.0)")
 
     def test_too_few_samples(self, ref_dc):
         records = flat_records(1, E=np.ones(1), Gamma=np.ones(1))

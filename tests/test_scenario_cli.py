@@ -1,13 +1,17 @@
+import math
 import re
+import types
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import REFERENCE_CFG
+from conftest import REFERENCE, REFERENCE_CFG, flat_records
 from twopointwave import (
+    Forcing,
     ProblemParams,
     Scenario,
+    check_differential_inequality,
     check_sandwich,
     derive_constants,
     parse_scenario,
@@ -482,6 +486,32 @@ class TestCli:
         assert not (out / "lam_0.2" / "energy.csv").exists()
         assert (out / "lam_1" / "energy.csv").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("ht0", "inf"), ("lam", "nan"), ("initial_amplitude", "nan"),
+        ("forcing_amplitude", "-inf"), ("forcing_rate", "nan"), ("alpha", "inf"),
+    ])
+    def test_non_finite_constant_exits_2(self, tmp_path, capsys, key, value):
+        # rejected before the solver, whose error would not name the key
+        text = re.sub(rf"^{key} = .*\n", "", SMALL_RUN, flags=re.MULTILINE)
+        config = write_config(tmp_path, text + f"{key} = {value}\n")
+        out = tmp_path / "o"
+        assert main(["run", str(config), "--outdir", str(out)]) == 2
+        assert capsys.readouterr().out == (
+            f"config error: {config}: {key} must be finite, got {float(value)}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("param", ["ht0", "initial_amplitude"])
+    def test_sweep_rejects_a_non_finite_constant(self, tmp_path, capsys, param):
+        config = write_config(tmp_path, SMALL_RUN)
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(config), "--param", param, "--values", "nan", "0.02",
+                     "--outdir", str(out)]) == 2
+        printed = capsys.readouterr().out
+        assert f"config error: {param}=nan: {param} must be finite, got nan" in printed
+        assert f"sweep {param}=nan: exit 2" in printed
+        assert f"sweep {param}=0.02: exit 0" in printed
+        assert not (out / f"{param}_nan").exists()
+
     def test_outdir_env_override(self, tmp_path, monkeypatch):
         config = write_config(tmp_path, SMALL_RUN)
         target = tmp_path / "env_out"
@@ -489,6 +519,85 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         assert main(["run", str(config)]) == 0
         assert (target / "energy.csv").exists()
+
+
+class TestDifferentialRerun:
+    """The differential check reruns the scenario at dt/2 only when a margin
+    exceeds the 1e-8 floor or is not finite; the verdict is that of the rerun."""
+
+    @staticmethod
+    def run_checks(monkeypatch, records):
+        calls = []
+        refined = flat_records(2 * len(records) - 1, t=0.05 * np.arange(2 * len(records) - 1))
+
+        def counting_integrate(sys, forcing, c0, v0, T, dt):
+            calls.append((T, dt))
+            return "refined trajectory"
+
+        monkeypatch.setattr(scenario, "integrate", counting_integrate)
+        monkeypatch.setattr(scenario, "record_trajectory", lambda traj, *args: refined)
+        n = len(records)
+        scn = Scenario(REFERENCE, n_nodes=2, T=0.1 * (n - 1), dt=0.1, checks=("differential",))
+        traj = types.SimpleNamespace(coeffs=np.zeros((n, 2)), velocities=np.zeros((n, 2)))
+        dc = derive_constants(REFERENCE)
+        (result,), _ = scenario._run_checks(scn, None, dc, Forcing(), traj, records, None)
+        return calls, result, refined, dc
+
+    def test_margins_under_the_floor_skip_the_rerun(self, monkeypatch):
+        records = flat_records(7)
+        calls, result, _, dc = self.run_checks(monkeypatch, records)
+        assert calls == []
+        assert result.passed
+        assert result.detail.endswith("tolerance=1.000e-08")
+        assert check_differential_inequality(records, dc).violations == 0
+
+    @pytest.mark.parametrize("gamma_4", [1e-6, math.nan], ids=["above_floor", "nan"])
+    def test_a_margin_over_the_floor_runs_the_rerun_once(self, monkeypatch, gamma_4):
+        # Gamma[4] = 1e-6 gives the centered margin 5e-6 at sample 3
+        gamma = np.zeros(7)
+        gamma[4] = gamma_4
+        records = flat_records(7, Gamma=gamma)
+        calls, result, refined, dc = self.run_checks(monkeypatch, records)
+        assert calls == [(pytest.approx(0.6), 0.05)]
+        assert check_differential_inequality(records, dc).violations > 0
+        # the verdict is the rerun's: its tolerance covers 5e-6, but not a NaN
+        rep = check_differential_inequality(records, dc, refined)
+        assert result.passed == (gamma_4 == 1e-6) == (rep.violations == 0)
+        assert result.detail == (f"violations={rep.violations} "
+                                 f"worst_margin={rep.worst_margin:.3e} "
+                                 f"tolerance={rep.tolerance:.3e}")
+
+    @pytest.mark.parametrize("text", [
+        REFERENCE_CFG.read_text(),
+        REFERENCE_CFG.read_text().replace("n_nodes = 65", "n_nodes = 33")
+        .replace("T = 10.0", "T = 5.0").replace(
+            "forcing = none",
+            "forcing = boundary_exp\nforcing_amplitude = 2.0\nforcing_rate = 0.25"),
+        REFERENCE_CFG.read_text().replace("T = 10.0", "T = 2.0").replace(
+            "forcing = none", "forcing = manufactured\nmanufactured = decaying_cosine"),
+    ], ids=["reference", "boundary_exp", "decaying_cosine"])
+    def test_verdict_equals_the_forced_rerun(self, tmp_path, monkeypatch, text):
+        seen = {}
+        run_checks = scenario._run_checks
+
+        def spying_run_checks(scn, sys, dc, forcing, traj, records, ms):
+            seen.update(scn=scn, sys=sys, dc=dc, forcing=forcing, traj=traj, records=records)
+            return run_checks(scn, sys, dc, forcing, traj, records, ms)
+
+        monkeypatch.setattr(scenario, "_run_checks", spying_run_checks)
+        out = tmp_path / "o"
+        assert run_scenario(write_config(tmp_path, text), outdir=out) == 0
+        scn, sys, dc, forcing, traj = (seen[k] for k in ("scn", "sys", "dc", "forcing", "traj"))
+        refined = scenario.integrate(sys, forcing, traj.coeffs[0], traj.velocities[0],
+                                     scn.T, scn.dt / 2.0)
+        forced = check_differential_inequality(
+            seen["records"], dc,
+            scenario.record_trajectory(refined, sys, scn.params, dc, forcing))
+        (line,) = [ln for ln in (out / "report.txt").read_text().splitlines()
+                   if "differential:" in ln]
+        assert forced.violations == 0
+        assert line == (f"  differential: PASS (violations=0 "
+                        f"worst_margin={forced.worst_margin:.3e} tolerance=1.000e-08)")
 
 
 def test_reference_scenario_end_to_end(tmp_path):
