@@ -155,13 +155,18 @@ def record_trajectory(
     """Per-sample observables along a trajectory.
 
     ``dc=None`` is allowed for configs outside the decay hypotheses (for
-    example the conservation control); Gamma then degenerates to E.
+    example the conservation control); Gamma then degenerates to E.  X's
+    boundary integral is the trapezoid rule on the sample grid, whose step is
+    t[1] - t[0]; u'(0) and u'(1) are the end velocity coefficients.
     """
     t = traj.times
     E, psi_all, norms = _functionals(sys, p, traj.coeffs, traj.velocities)
     delta = 0.0 if dc is None else dc.delta
     sigma = sigma_forcing(forcing, sys, t)
-    X = norms + traj.accumulators[:, 0] + traj.accumulators[:, 1]
+    v_end_sq = traj.velocities[:, [0, -1]] ** 2
+    acc = np.zeros((len(t), 2))
+    acc[1:] = np.cumsum(0.5 * (t[1] - t[0]) * (v_end_sq[:-1] + v_end_sq[1:]), axis=0)
+    X = norms + acc[:, 0] + acc[:, 1]
     return EnergyRecords(t=t, E=E, psi=psi_all, Gamma=E + delta * psi_all, sigma=sigma, X=X)
 
 

@@ -29,22 +29,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled states plus boundary traces and running integrals.
-
-    traces columns: u(0,t), u(1,t), u'(0,t), u'(1,t).
-    accumulators columns: int_0^t |u'(0,s)|^2 ds, int_0^t |u'(1,s)|^2 ds
-    (trapezoid rule on the sample grid).
-    """
+    """Uniformly sampled states: row n of ``coeffs`` and ``velocities`` is the
+    state at ``times[n]``."""
 
     times: np.ndarray
     coeffs: np.ndarray
     velocities: np.ndarray
-    traces: np.ndarray
-    accumulators: np.ndarray
 
     @property
     def n_samples(self) -> int:
         return len(self.times)
+
+    @property
+    def traces(self) -> np.ndarray:
+        """Columns u(0,t), u(1,t), u'(0,t), u'(1,t): the end coefficients."""
+        return np.column_stack([self.coeffs[:, 0], self.coeffs[:, -1],
+                                self.velocities[:, 0], self.velocities[:, -1]])
 
 
 def project_initial_data(mesh: Mesh, u0, u1) -> tuple[np.ndarray, np.ndarray]:
@@ -118,15 +118,6 @@ def _start(sys: GalerkinSystem, c0, v0, T: float, dt: float, t0: float):
     return c0, v0, times
 
 
-def _package_trajectory(times: np.ndarray, C: np.ndarray, V: np.ndarray, dt: float) -> Trajectory:
-    """The trajectory of the sampled states; the traces are the end coefficients."""
-    traces = np.column_stack([C[:, 0], C[:, -1], V[:, 0], V[:, -1]])
-    v_end_sq = traces[:, 2:] ** 2
-    acc = np.zeros((len(times), 2))
-    acc[1:] = np.cumsum(0.5 * dt * (v_end_sq[:-1] + v_end_sq[1:]), axis=0)
-    return Trajectory(times=times, coeffs=C, velocities=V, traces=traces, accumulators=acc)
-
-
 def integrate(
     sys: GalerkinSystem,
     forcing: Forcing,
@@ -157,7 +148,7 @@ def integrate(
             stepper.advance(z, load)
             V[n] = v
             C[n] = c
-    return _package_trajectory(times, C, V, dt)
+    return Trajectory(times, C, V)
 
 
 # The oracle is meant for tiny cross-check systems only; it works on dense
@@ -197,4 +188,4 @@ def oracle_integrate(
                                     method="DOP853", t_eval=times, rtol=1e-12, atol=1e-14)
     if not sol.success:
         raise ArithmeticError(f"oracle integration failed: {sol.message}")
-    return _package_trajectory(times, sol.y[:m].T.copy(), sol.y[m:].T.copy(), dt)
+    return Trajectory(times, sol.y[:m].T.copy(), sol.y[m:].T.copy())

@@ -10,12 +10,15 @@ per line, ``#`` starts a comment, numbers are finite decimal reals.  Keys:
     forcing            none | boundary_exp | manufactured (default none)
     forcing_amplitude  boundary_exp: g0(t) = amplitude*exp(-rate*t)
     forcing_rate       (default 1.0 for both)
-    manufactured       registry form name; implies forcing/initial data
+    manufactured       registry form name: its exact solution gives the
+                       forcing and the initial data; present exactly when
+                       forcing = manufactured
     alpha              decay rate of the exponential registry forms
-    checks             comma list of sandwich, differential, decay_fit,
-                       ladder, oracle (differential and ladder need
-                       T/dt >= 2)                        (default empty)
-    seed               integer for randomized sweeps     (default 0)
+    checks             comma list, each at most once, of sandwich,
+                       differential, decay_fit, ladder, oracle (differential
+                       and ladder need T/dt >= 2)        (default empty)
+    seed               integer, parsed and written back by sweep but read
+                       by no run                         (default 0)
     write_solution     true | false: emit nodal snapshots (default false)
     eps1 eps2 delta    optional Lyapunov tuning overrides
 
@@ -125,9 +128,11 @@ def _convert(path, key: str, value: str):
         return value
     if key == "checks":
         checks = tuple(c.strip() for c in value.split(",") if c.strip())
-        for c in checks:
+        for i, c in enumerate(checks):
             if c not in CHECK_NAMES:
                 raise ConfigError(f"{path}: unknown check {c!r}; known: {CHECK_NAMES}")
+            if c in checks[:i]:
+                raise ConfigError(f"{path}: duplicate check {c!r}")
         return checks
     if _TYPES[key] is bool:
         if value.lower() in ("true", "yes", "1"):
@@ -144,11 +149,15 @@ def _convert(path, key: str, value: str):
 
 def _typed_number(where, key: str, number: float):
     """``number`` as the value of the numeric field ``key``: an int for an
-    integer field, which rejects a fractional or non-finite value."""
+    integer field, which rejects a fractional or non-finite value and one
+    above the largest array index."""
     if _TYPES[key] is not int:
         return number
     if not number.is_integer():
         raise ConfigError(f"{where}: {key}: expected an integer, got {number}")
+    if number > np.iinfo(np.intp).max:
+        raise ConfigError(f"{where}: {key}: expected at most {np.iinfo(np.intp).max}, "
+                          f"got {number:g}")
     return int(number)
 
 
@@ -202,33 +211,32 @@ def _validate(scn: Scenario, where) -> None:
     if stencil_checks and n_steps < 2:
         raise ConfigError(f"{where}: the {stencil_checks[0]} check needs T/dt >= 2, "
                           f"got {n_steps}")
-    if scn.forcing == "manufactured" and scn.manufactured is None:
-        raise ConfigError(f"{where}: forcing = manufactured needs a 'manufactured' key")
+    if (scn.forcing == "manufactured") != (scn.manufactured is not None):
+        raise ConfigError(f"{where}: a 'manufactured' key and forcing = manufactured "
+                          f"go together, got forcing = {scn.forcing} and "
+                          f"manufactured = {scn.manufactured}")
     if "ladder" in scn.checks and scn.manufactured is None:
         raise ConfigError(f"{where}: the ladder check needs a manufactured scenario")
     if "oracle" in scn.checks and scn.n_nodes > ORACLE_MAX_DIM:
         raise ConfigError(f"{where}: the oracle check needs n_nodes <= {ORACLE_MAX_DIM}")
 
 
-def _initial_data_functions(scn: Scenario, ms):
-    if ms is not None:
-        return ms.u0, ms.u1
-    amp = scn.initial_amplitude
-    zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))  # noqa: E731
-    if scn.initial_data == "zero":
-        return zero, zero
-    if scn.initial_data == "cosine":
-        return (lambda x: amp * np.cos(np.pi * np.asarray(x, dtype=float))), zero
-    return (lambda x: amp * (1.0 + np.asarray(x, dtype=float))), zero
-
-
-def _forcing_of(scn: Scenario, ms) -> Forcing:
-    if scn.forcing == "none":
-        return Forcing()
+def _problem(scn: Scenario):
+    """The problem (1.1)-(1.4) that ``scn`` poses, discretized: the assembled
+    system, the forcing, the projected initial state (c0, v0), and the
+    manufactured solution whose data these are, or None."""
+    sys = assemble(uniform_mesh(scn.n_nodes), scn.params)
+    if scn.manufactured is not None:
+        ms = manufacture(scn.manufactured, scn.params, scn.alpha)
+        return (sys, ms.forcing(), *project_initial_data(sys.mesh, ms.u0, ms.u1), ms)
+    forcing = Forcing()
     if scn.forcing == "boundary_exp":
         amp, rate = scn.forcing_amplitude, scn.forcing_rate
-        return Forcing(g0=lambda t: amp * math.exp(-rate * t))
-    return ms.forcing()
+        forcing = Forcing(g0=lambda t: amp * math.exp(-rate * t))
+    scale = scn.initial_amplitude
+    u0 = {"zero": np.zeros_like, "cosine": lambda x: scale * np.cos(np.pi * x),
+          "affine": lambda x: scale * (1.0 + x)}[scn.initial_data]
+    return (sys, forcing, *project_initial_data(sys.mesh, u0, np.zeros_like), None)
 
 
 def _fmt(value: float) -> str:
@@ -369,7 +377,7 @@ def _write_report(path, scn: Scenario, dc, results, decay_report, overall) -> No
 
 # Failures of a run that exit 4 with a ``solver error:`` line; those that
 # exit 2 with a ``config error:`` line.
-SOLVER_ERRORS = (SingularMatrixError, np.linalg.LinAlgError, ArithmeticError)
+SOLVER_ERRORS = (SingularMatrixError, np.linalg.LinAlgError, ArithmeticError, MemoryError)
 CONFIG_ERRORS = (ConfigError, DomainError, InfeasibleError)
 
 
@@ -419,13 +427,7 @@ def execute(scn: Scenario, outdir) -> int:
     if verdict.accepted:  # an eps1/eps2/delta override out of range is a config error
         dc = derive_constants(scn.params, eps1=scn.eps1, eps2=scn.eps2, delta=scn.delta)
 
-    mesh = uniform_mesh(scn.n_nodes)
-    sys = assemble(mesh, scn.params)
-    ms = manufacture(scn.manufactured, scn.params, scn.alpha) if scn.manufactured else None
-    forcing = _forcing_of(scn, ms)
-    u0, u1 = _initial_data_functions(scn, ms)
-    c0, v0 = project_initial_data(mesh, u0, u1)
-
+    sys, forcing, c0, v0, ms = _problem(scn)
     out = Path(outdir)
     with np.errstate(over="ignore", invalid="ignore"):  # the guards report inf/NaN
         traj = integrate(sys, forcing, c0, v0, scn.T, scn.dt)
@@ -467,28 +469,22 @@ def convergence_study(base: Scenario, levels: int) -> list[ConvergenceRow]:
         raise ConfigError("convergence study needs a manufactured scenario")
     if levels < 3:
         raise ConfigError(f"need at least 3 levels, got {levels}")
-    ms = manufacture(base.manufactured, base.params, base.alpha)
     rows: list[ConvergenceRow] = []
     prev = None
     for lev in range(levels):
-        n_nodes = (base.n_nodes - 1) * 2**lev + 1
-        dt = base.dt / 2**lev
+        scn = replace(base, n_nodes=(base.n_nodes - 1) * 2**lev + 1, dt=base.dt / 2**lev)
         with np.errstate(over="ignore", invalid="ignore"):  # the guard reports inf/NaN
-            mesh = uniform_mesh(n_nodes)
-            sys = assemble(mesh, base.params)
-            c0, v0 = project_initial_data(mesh, ms.u0, ms.u1)
-            traj = integrate(sys, ms.forcing(), c0, v0, base.T, dt)
-            l2, h1 = error_norms(
-                sys, traj.coeffs[-1],
-                lambda x: ms.u(x, base.T), lambda x: ms.ux(x, base.T),
-            )
-            _require_finite(f"errors at n_nodes={n_nodes}", [l2, h1])
+            sys, forcing, c0, v0, ms = _problem(scn)
+            traj = integrate(sys, forcing, c0, v0, scn.T, scn.dt)
+            l2, h1 = error_norms(sys, traj.coeffs[-1],
+                                 lambda x: ms.u(x, scn.T), lambda x: ms.ux(x, scn.T))
+            _require_finite(f"errors at n_nodes={scn.n_nodes}", [l2, h1])
         if prev is None:
             l2_order = h1_order = math.nan
         else:
             l2_order = math.log2(prev[0] / l2) if prev[0] > 0 and l2 > 0 else math.nan
             h1_order = math.log2(prev[1] / h1) if prev[1] > 0 and h1 > 0 else math.nan
-        rows.append(ConvergenceRow(n_nodes, dt, l2, h1, l2_order, h1_order))
+        rows.append(ConvergenceRow(scn.n_nodes, scn.dt, l2, h1, l2_order, h1_order))
         prev = (l2, h1)
     return rows
 

@@ -12,10 +12,12 @@ from twopointwave import (
     derive_constants,
     integrate,
     manufacture,
+    norm_1_sq,
     project_initial_data,
     record_trajectory,
     uniform_mesh,
 )
+from twopointwave.galerkin import apply_rows
 
 # The shipped reference scenario; its constants are REFERENCE below.
 REFERENCE_CFG = Path(__file__).resolve().parent.parent / "configs" / "reference.cfg"
@@ -33,6 +35,14 @@ def flat_records(n, **overrides):
                    Gamma=np.zeros(n), sigma=np.zeros(n), X=np.zeros(n))
     columns.update(overrides)
     return EnergyRecords(**columns)
+
+
+def boundary_integral(sys, traj, records):
+    """X minus the state norms v'Mv + u(0)^2 + c'Sc: the running integral
+    of |u'(0,s)|^2 + |u'(1,s)|^2 that X adds to them."""
+    V = traj.velocities
+    norms = np.einsum("ni,ni->n", apply_rows(sys.M, V), V) + norm_1_sq(sys, traj.coeffs)
+    return records.X - norms
 
 
 @pytest.fixture(scope="session")

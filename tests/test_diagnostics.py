@@ -25,7 +25,7 @@ from twopointwave import (
     write_energy_csv,
 )
 from twopointwave.galerkin import time_blocks
-from conftest import flat_records
+from conftest import boundary_integral, flat_records
 from twopointwave.errors import (
     DimensionError,
     InsufficientDataError,
@@ -175,22 +175,26 @@ class TestRecordTrajectory:
 
     def test_x_identity_and_lower_bound(self, ref_system, ref_run, ref_dc, ref_params):
         traj, records = ref_run
-        # spot-check the X assembly at a few samples
+        # spot-check the X assembly at a few samples: the state norms plus the
+        # trapezoid integral of u'(0)^2 + u'(1)^2, summed here sample by sample
+        v_end_sq = traj.velocities[:, 0] ** 2 + traj.velocities[:, -1] ** 2
+        read_back = boundary_integral(ref_system, traj, records)
         for n in (0, 1000, 5000):
             v = traj.velocities[n]
             c = traj.coeffs[n]
-            expected = float(v @ ref_system.M @ v) + norm_1_sq(ref_system, c) \
-                + traj.accumulators[n].sum()
+            integral = sum(0.5 * 1e-3 * (v_end_sq[k] + v_end_sq[k + 1]) for k in range(n))
+            expected = float(v @ ref_system.M @ v) + norm_1_sq(ref_system, c) + integral
             assert records.X[n] == pytest.approx(expected, rel=1e-12)
+            assert read_back[n] == pytest.approx(integral, rel=1e-12, abs=1e-15)
         # X controls the energy once the K-term is routed through the
         # sup-norm embedding: E <= max(1/2, C1/2 + K) * X
         p = ref_params
         factor = min(2.0, 2.0 / (ref_dc.C1 + 2.0 * p.K))
         assert np.all(records.X >= factor * records.E - 1e-10 * np.maximum(records.E, 1.0))
 
-    def test_accumulator_component_is_monotone(self, ref_run):
-        traj, _ = ref_run
-        acc = traj.accumulators.sum(axis=1)
+    def test_accumulator_component_is_monotone(self, ref_system, ref_run):
+        traj, records = ref_run
+        acc = boundary_integral(ref_system, traj, records)
         assert np.all(np.diff(acc) >= 0.0)
 
     def test_columns_match_scalar_functionals(self, ref_system, ref_run, ref_dc, ref_params):

@@ -20,8 +20,10 @@ from twopointwave import (
     manufacture,
     oracle_integrate,
     project_initial_data,
+    record_trajectory,
     uniform_mesh,
 )
+from conftest import boundary_integral
 from twopointwave.errors import DimensionError, SingularMatrixError
 from twopointwave.galerkin import BLOCK_VALUES, error_norms, load_vector, time_blocks
 from twopointwave.integrate import MidpointStepper
@@ -174,24 +176,29 @@ class TestIntegrate:
         b = integrate(sys, Forcing(), c0, v0, T=1.0, dt=1e-2)
         assert np.array_equal(a.coeffs, b.coeffs)
         assert np.array_equal(a.velocities, b.velocities)
-        assert np.array_equal(a.accumulators, b.accumulators)
+        assert np.array_equal(boundary_integral(sys, a, record_trajectory(a, sys, P, None)),
+                              boundary_integral(sys, b, record_trajectory(b, sys, P, None)))
 
     def test_accumulators_monotone_and_additive(self):
+        # the boundary integral in X, read back as X minus the state norms
         sys = assemble(uniform_mesh(9), P)
         c0, v0 = project_initial_data(sys.mesh, lambda x: np.cos(np.pi * x),
                                       lambda x: np.zeros_like(x))
         full = integrate(sys, Forcing(), c0, v0, T=2.0, dt=1e-2)
-        assert np.all(np.diff(full.accumulators, axis=0) >= -1e-300)
+        records = record_trajectory(full, sys, P, None)
+        acc = boundary_integral(sys, full, records)
+        assert np.all(np.diff(acc) >= -1e-300)
         # restart at the midpoint: homogeneous forcing makes the states
-        # bitwise identical, so the running integrals split exactly
+        # bitwise identical, so the running integrals split up to the
+        # summation order (1e-15) and one rounding of X in each of the
+        # three integrals read back from it
         mid = full.n_samples // 2
         second = integrate(sys, Forcing(), full.coeffs[mid], full.velocities[mid],
                            T=1.0, dt=1e-2, t0=full.times[mid])
         np.testing.assert_array_equal(second.coeffs[-1], full.coeffs[-1])
-        np.testing.assert_allclose(
-            full.accumulators[mid] + second.accumulators[-1],
-            full.accumulators[-1], rtol=0, atol=1e-15,
-        )
+        acc_second = boundary_integral(sys, second, record_trajectory(second, sys, P, None))
+        np.testing.assert_allclose(acc[mid] + acc_second[-1], acc[-1], rtol=0,
+                                   atol=1e-15 + 3 * np.spacing(records.X.max()))
 
     def test_nodal_error_is_second_order_in_dt(self):
         # the affine exact solution lives in the trial space, so the only

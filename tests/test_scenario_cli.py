@@ -11,12 +11,16 @@ from twopointwave import (
     Forcing,
     ProblemParams,
     Scenario,
+    assemble,
     check_differential_inequality,
     check_sandwich,
     derive_constants,
+    error_norms,
+    manufacture,
     parse_scenario,
     read_energy_csv,
     run_scenario,
+    uniform_mesh,
 )
 from twopointwave.cli import main
 from twopointwave.errors import ConfigError
@@ -246,6 +250,20 @@ class TestConvergence:
             assert row.h1_error == 0.0
         assert np.isnan(rows[-1].l2_order)
         assert np.isnan(rows[-1].h1_order)
+
+    def test_run_solves_the_problem_of_level_0(self, tmp_path):
+        text = (REFERENCE_CFG.parent / "manufactured_cosine.cfg").read_text()
+        config = write_config(tmp_path, text + "write_solution = true\n")
+        out = tmp_path / "o"
+        assert run_scenario(config, outdir=out) == 0
+        last = np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1)[-1]
+        scn = parse_scenario(config)
+        ms = manufacture(scn.manufactured, scn.params, scn.alpha)
+        sys = assemble(uniform_mesh(scn.n_nodes), scn.params)
+        assert last[0] == scn.T
+        l2, h1 = error_norms(sys, last[1:], lambda x: ms.u(x, scn.T), lambda x: ms.ux(x, scn.T))
+        row = convergence_study(scn, levels=3)[0]
+        assert (l2, h1) == (row.l2_error, row.h1_error)
 
     def test_needs_manufactured_scenario(self, tmp_path):
         scn = parse_scenario(write_config(tmp_path, SMALL_RUN))
@@ -511,6 +529,71 @@ class TestCli:
         assert f"sweep {param}=nan: exit 2" in printed
         assert f"sweep {param}=0.02: exit 0" in printed
         assert not (out / f"{param}_nan").exists()
+
+    @pytest.mark.parametrize("command, extra", [
+        ("run", []), ("converge", ["--levels", "3"]),
+        ("sweep", ["--param", "alpha", "--values", "1", "2"]),
+    ])
+    @pytest.mark.parametrize("text", [
+        MMS_BASE.replace("forcing = manufactured", "forcing = none"),
+        MMS_BASE.replace("forcing = manufactured", "forcing = boundary_exp"),
+        MMS_BASE.replace("manufactured = decaying_cosine\n", ""),
+    ], ids=["key_unforced", "key_boundary_exp", "forcing_without_key"])
+    def test_manufactured_key_and_forcing_go_together(self, tmp_path, capfd, command,
+                                                     extra, text):
+        # run and converge would otherwise pose different problems
+        config = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        assert main([command, str(config), "--outdir", str(out)] + extra) == 2
+        printed = capfd.readouterr()
+        assert printed.err == ""
+        assert re.fullmatch(rf"config error: {re.escape(str(config))}: a 'manufactured' key "
+                            rf"and forcing = manufactured go together, got .*\n", printed.out)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("old, new, code, line", [
+        # the first array of each run needs more than the 2^47-byte address
+        # space, so the allocation fails without touching memory
+        ("n_nodes = 17", "n_nodes = 1e17", 4, "solver error: "),
+        ("T = 1.0\ndt = 0.01", "T = 1e12\ndt = 0.001", 4, "solver error: "),
+        ("n_nodes = 17", "n_nodes = 1e20", 2,
+         f"config error: {{config}}: n_nodes: expected at most {np.iinfo(np.intp).max}, "
+         "got 1e+20\n"),
+    ], ids=["n_nodes_1e17", "T_1e12", "n_nodes_1e20"])
+    def test_impossible_size_is_one_line(self, tmp_path, capfd, old, new, code, line):
+        config = write_config(tmp_path, SMALL_RUN.replace(old, new))
+        assert main(["run", str(config), "--outdir", str(tmp_path / "o")]) == code
+        printed = capfd.readouterr()
+        assert printed.err == ""
+        assert printed.out.count("\n") == 1
+        assert printed.out.startswith(line.format(config=config))
+
+    def test_sweep_runs_on_past_an_impossible_size(self, tmp_path, capsys):
+        config = write_config(tmp_path, SMALL_RUN)
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(config), "--param", "n_nodes", "--values", "1e17", "1e20",
+                     "9", "--outdir", str(out)]) == 4
+        printed = [line for line in capsys.readouterr().out.splitlines()
+                   if not line.startswith(("sandwich", "artifacts"))]
+        assert printed[0].startswith("solver error: ")
+        assert printed[1:] == [
+            "sweep n_nodes=1e+17: exit 4",
+            f"config error: n_nodes=1e+20: n_nodes: expected at most {np.iinfo(np.intp).max}, "
+            "got 1e+20",
+            "sweep n_nodes=1e+20: exit 2",
+            "sweep n_nodes=9: exit 0",
+        ]
+        assert not (out / "n_nodes_1e+20").exists()
+        assert (out / "n_nodes_9" / "energy.csv").exists()
+
+    def test_duplicate_check_exits_2(self, tmp_path, capsys):
+        text = SMALL_RUN.replace("n_nodes = 17", "n_nodes = 2").replace(
+            "checks = sandwich", "checks = oracle, oracle")
+        config = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        assert main(["run", str(config), "--outdir", str(out)]) == 2
+        assert capsys.readouterr().out == f"config error: {config}: duplicate check 'oracle'\n"
+        assert not out.exists()
 
     def test_outdir_env_override(self, tmp_path, monkeypatch):
         config = write_config(tmp_path, SMALL_RUN)
