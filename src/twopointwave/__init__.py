@@ -28,6 +28,7 @@ from .integrate import (
     MidpointStepper,
     project_initial_data,
     integrate,
+    integrate_columns,
     oracle_integrate,
 )
 from .diagnostics import (

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import OrderError
 from .galerkin import Forcing, Mesh, assemble
-from .integrate import integrate, project_initial_data
+from .integrate import integrate_columns, project_initial_data
 from .manufactured import ManufacturedSolution
 from .params import ProblemParams
 
@@ -131,9 +131,10 @@ def ladder_check(
     T: float,
     dt: float,
 ) -> LadderReport:
-    """Cross-check: solve the base and r-times differentiated problems and
-    compare the r-th centered time difference of the base nodal trajectory
-    against the differentiated problem's trajectory.
+    """Cross-check: solve the base and r-times differentiated problems, as
+    the two columns of one ``integrate_columns`` run, and compare the r-th
+    centered time difference of the base nodal trajectory against the
+    differentiated problem's trajectory.
 
     The differentiated problem is forced by ``data.forcing_derivs[r]``, one
     level past what the recurrence itself consumes.
@@ -145,11 +146,9 @@ def ladder_check(
 
     sys = assemble(mesh, p)
     c0, v0 = project_initial_data(mesh, data.u0, data.u1)
-    base = integrate(sys, forcing, c0, v0, T, dt)
-
-    u0_r, u1_r = compatibility_data(data, p, r)
-    c0_r, v0_r = project_initial_data(mesh, u0_r, u1_r)
-    shifted = integrate(sys, data.forcing_derivs[r], c0_r, v0_r, T, dt)
+    c0_r, v0_r = project_initial_data(mesh, *compatibility_data(data, p, r))
+    base, shifted = integrate_columns(sys, [forcing, data.forcing_derivs[r]],
+                                      [c0, c0_r], [v0, v0_r], T, dt)
 
     diff_base = _centered_time_derivative(base.coeffs, dt, r)
     target = shifted.coeffs[1:-1]

@@ -154,6 +154,11 @@ def assemble(mesh: Mesh, p: ProblemParams) -> GalerkinSystem:
 # Gauss-point values of f per block of times in the batched quadrature:
 # bounds each temporary to 256 KB, whatever the number of times.
 BLOCK_VALUES = 32768
+# Runs stepped together as the columns of one stacked state, at most: bounds
+# the trajectories a sweep holds at once.  Per column and step (2 cores, one
+# BLAS thread), 4 columns took 5.4 us at n=33 and 10.5 us at n=257, against
+# 14.4 and 22.4 us for one, and 8 columns took longer than 4 at n=257.
+MAX_COLUMNS = 4
 
 
 def time_blocks(sys: GalerkinSystem, n_times: int) -> list[slice]:

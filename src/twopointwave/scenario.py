@@ -53,9 +53,9 @@ from .diagnostics import (
 )
 from .errors import (ConfigError, DomainError, InfeasibleError, InsufficientDataError,
                      SingularMatrixError)
-from .galerkin import Forcing, assemble, error_norms, uniform_mesh
-from .integrate import (ORACLE_MAX_DIM, _resolve_steps, integrate, oracle_integrate,
-                        project_initial_data)
+from .galerkin import MAX_COLUMNS, Forcing, assemble, error_norms, uniform_mesh
+from .integrate import (ORACLE_MAX_DIM, _resolve_steps, integrate, integrate_columns,
+                        oracle_integrate, project_initial_data)
 from .manufactured import FORM_NAMES, manufacture
 from .params import ProblemParams, derive_constants, validate_params
 
@@ -120,20 +120,12 @@ _TYPES = {**get_type_hints(ProblemParams), **get_type_hints(Scenario)}
 
 
 def _convert(path, key: str, value: str):
-    """The value of the assignment ``key = value``, typed as its field."""
-    if key in CHOICES:
-        if value not in CHOICES[key]:
-            noun = "manufactured form" if key == "manufactured" else key
-            raise ConfigError(f"{path}: unknown {noun} {value!r}")
-        return value
+    """The value of the assignment ``key = value``, typed as its field.  The
+    names it holds are checked by ``_validate``."""
     if key == "checks":
-        checks = tuple(c.strip() for c in value.split(",") if c.strip())
-        for i, c in enumerate(checks):
-            if c not in CHECK_NAMES:
-                raise ConfigError(f"{path}: unknown check {c!r}; known: {CHECK_NAMES}")
-            if c in checks[:i]:
-                raise ConfigError(f"{path}: duplicate check {c!r}")
-        return checks
+        return tuple(c.strip() for c in value.split(",") if c.strip())
+    if key in CHOICES:
+        return value
     if _TYPES[key] is bool:
         if value.lower() in ("true", "yes", "1"):
             return True
@@ -196,7 +188,19 @@ def parse_scenario(path: str | os.PathLike) -> Scenario:
 
 
 def _validate(scn: Scenario, where) -> None:
-    """Cross-field consistency; also applied to the patched scenarios of a sweep."""
+    """The names a scenario holds and its cross-field consistency; applied to
+    every parsed config, to the patched scenarios of a sweep and to the
+    scenarios ``execute`` and ``convergence_study`` are given."""
+    for key, names in CHOICES.items():
+        value = getattr(scn, key)
+        if value not in names and not (key == "manufactured" and value is None):
+            noun = "manufactured form" if key == "manufactured" else key
+            raise ConfigError(f"{where}: unknown {noun} {value!r}")
+    for i, c in enumerate(scn.checks):
+        if c not in CHECK_NAMES:
+            raise ConfigError(f"{where}: unknown check {c!r}; known: {CHECK_NAMES}")
+        if c in scn.checks[:i]:
+            raise ConfigError(f"{where}: duplicate check {c!r}")
     if scn.T <= 0 or scn.dt <= 0 or scn.n_nodes < 2:
         raise ConfigError(f"{where}: need T > 0, dt > 0 and n_nodes >= 2")
     try:
@@ -221,14 +225,13 @@ def _validate(scn: Scenario, where) -> None:
         raise ConfigError(f"{where}: the oracle check needs n_nodes <= {ORACLE_MAX_DIM}")
 
 
-def _problem(scn: Scenario):
-    """The problem (1.1)-(1.4) that ``scn`` poses, discretized: the assembled
-    system, the forcing, the projected initial state (c0, v0), and the
-    manufactured solution whose data these are, or None."""
-    sys = assemble(uniform_mesh(scn.n_nodes), scn.params)
+def _problem(scn: Scenario, sys):
+    """The problem (1.1)-(1.4) that ``scn`` poses, discretized on ``sys``, its
+    assembled system: the forcing, the projected initial state (c0, v0), and
+    the manufactured solution whose data these are, or None."""
     if scn.manufactured is not None:
         ms = manufacture(scn.manufactured, scn.params, scn.alpha)
-        return (sys, ms.forcing(), *project_initial_data(sys.mesh, ms.u0, ms.u1), ms)
+        return (ms.forcing(), *project_initial_data(sys.mesh, ms.u0, ms.u1), ms)
     forcing = Forcing()
     if scn.forcing == "boundary_exp":
         amp, rate = scn.forcing_amplitude, scn.forcing_rate
@@ -236,7 +239,20 @@ def _problem(scn: Scenario):
     scale = scn.initial_amplitude
     u0 = {"zero": np.zeros_like, "cosine": lambda x: scale * np.cos(np.pi * x),
           "affine": lambda x: scale * (1.0 + x)}[scn.initial_data]
-    return (sys, forcing, *project_initial_data(sys.mesh, u0, np.zeros_like), None)
+    return (forcing, *project_initial_data(sys.mesh, u0, np.zeros_like), None)
+
+
+def _integrated(scns: list[Scenario]) -> list[tuple]:
+    """Scenarios that share the operator and the step (params, n_nodes, T and
+    dt), integrated as the columns of one ``integrate_columns`` run: per
+    scenario, the assembled system, the forcing, the manufactured solution or
+    None (``_problem``) and the trajectory."""
+    first = scns[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # the guards report inf/NaN
+        sys = assemble(uniform_mesh(first.n_nodes), first.params)
+        forcings, c0s, v0s, solutions = zip(*(_problem(scn, sys) for scn in scns))
+        trajs = integrate_columns(sys, forcings, c0s, v0s, first.T, first.dt)
+    return [(sys, *run) for run in zip(forcings, solutions, trajs)]
 
 
 def _fmt(value: float) -> str:
@@ -375,6 +391,10 @@ def _write_report(path, scn: Scenario, dc, results, decay_report, overall) -> No
     Path(path).write_text(buf.getvalue())
 
 
+class _Inadmissible(Exception):
+    """Decay checks requested on params that fail the decay hypotheses."""
+
+
 # Failures of a run that exit 4 with a ``solver error:`` line; those that
 # exit 2 with a ``config error:`` line.
 SOLVER_ERRORS = (SingularMatrixError, np.linalg.LinAlgError, ArithmeticError, MemoryError)
@@ -383,8 +403,9 @@ CONFIG_ERRORS = (ConfigError, DomainError, InfeasibleError)
 
 def _exit_code(command):
     """Wrap ``command``, which returns an exit code, so that a config error
-    prints ``config error: ...`` and gives 2 and a solver failure prints
-    ``solver error: ...`` and gives 4."""
+    prints ``config error: ...`` and gives 2, decay checks on inadmissible
+    params print ``hypothesis violation: ...`` and give 3, and a solver
+    failure prints ``solver error: ...`` and gives 4."""
     @functools.wraps(command)
     def wrapped(*args, **kwargs) -> int:
         try:
@@ -392,6 +413,9 @@ def _exit_code(command):
         except CONFIG_ERRORS as exc:
             print(f"config error: {exc}")
             return 2
+        except _Inadmissible as exc:
+            print(f"hypothesis violation: {exc}")
+            return 3
         except SOLVER_ERRORS as exc:
             print(f"solver error: {exc}")
             return 4
@@ -413,24 +437,34 @@ def run_scenario(config_path, outdir=None) -> int:
 
 @_exit_code
 def execute(scn: Scenario, outdir) -> int:
-    """Run a parsed scenario; writes artifacts to the existing directory
-    ``outdir`` and returns the exit code."""
-    wants_decay = DECAY_CHECKS.intersection(scn.checks)
-    verdict = validate_params(scn.params, require_decay_hypotheses=True)
-    if wants_decay and not verdict.accepted:
-        print(
-            "hypothesis violation: decay checks requested but params fail: "
-            + "; ".join(verdict.violations)
-        )
-        return 3
-    dc = None
-    if verdict.accepted:  # an eps1/eps2/delta override out of range is a config error
-        dc = derive_constants(scn.params, eps1=scn.eps1, eps2=scn.eps2, delta=scn.delta)
+    """Run a scenario, validated first as a parsed config is; writes artifacts
+    to the existing directory ``outdir`` and returns the exit code."""
+    _validate(scn, "scenario")
+    return _execute(scn, outdir)
 
-    sys, forcing, c0, v0, ms = _problem(scn)
+
+def _constants(scn: Scenario):
+    """The derived constants of ``scn``, or None when its params fail the
+    decay hypotheses; raises _Inadmissible when decay checks are requested
+    there, and DomainError or InfeasibleError for an eps1/eps2/delta
+    override out of range."""
+    verdict = validate_params(scn.params, require_decay_hypotheses=True)
+    if verdict.accepted:
+        return derive_constants(scn.params, eps1=scn.eps1, eps2=scn.eps2, delta=scn.delta)
+    if DECAY_CHECKS.intersection(scn.checks):
+        raise _Inadmissible("decay checks requested but params fail: "
+                            + "; ".join(verdict.violations))
+    return None
+
+
+def _execute(scn: Scenario, outdir, run=None) -> int:
+    """``execute`` after validation.  ``run`` is the scenario's entry of
+    ``_integrated`` when it was integrated already; otherwise it is
+    integrated here, alone."""
+    dc = _constants(scn)
+    sys, forcing, ms, traj = run or _integrated([scn])[0]
     out = Path(outdir)
     with np.errstate(over="ignore", invalid="ignore"):  # the guards report inf/NaN
-        traj = integrate(sys, forcing, c0, v0, scn.T, scn.dt)
         _require_finite("trajectory", traj.coeffs, traj.velocities)
         records = record_trajectory(traj, sys, scn.params, dc, forcing)
         _require_finite("energy records", *(getattr(records, k) for k in COLUMNS))
@@ -465,6 +499,7 @@ def convergence_study(base: Scenario, levels: int) -> list[ConvergenceRow]:
     Raises FloatingPointError (one of SOLVER_ERRORS) when a level's errors
     are not finite.
     """
+    _validate(base, "scenario")
     if base.manufactured is None:
         raise ConfigError("convergence study needs a manufactured scenario")
     if levels < 3:
@@ -473,9 +508,8 @@ def convergence_study(base: Scenario, levels: int) -> list[ConvergenceRow]:
     prev = None
     for lev in range(levels):
         scn = replace(base, n_nodes=(base.n_nodes - 1) * 2**lev + 1, dt=base.dt / 2**lev)
+        sys, _, ms, traj = _integrated([scn])[0]
         with np.errstate(over="ignore", invalid="ignore"):  # the guard reports inf/NaN
-            sys, forcing, c0, v0, ms = _problem(scn)
-            traj = integrate(sys, forcing, c0, v0, scn.T, scn.dt)
             l2, h1 = error_norms(sys, traj.coeffs[-1],
                                  lambda x: ms.u(x, scn.T), lambda x: ms.ux(x, scn.T))
             _require_finite(f"errors at n_nodes={scn.n_nodes}", [l2, h1])
@@ -509,25 +543,45 @@ def converge_scenario(config_path, levels: int, outdir=None) -> int:
 
 @_exit_code
 def sweep_scenario(config_path, param: str, values: list[float], outdir=None) -> int:
-    """Run the scenario once per value of ``param``, each in its own subdir."""
+    """Run the scenario once per value of ``param``, each in its own subdir.
+
+    Every value is first typed, patched and validated.  The points that will
+    integrate and share the operator and the step (params, n_nodes, T and
+    dt) are integrated together, up to MAX_COLUMNS at a time, as the columns
+    of one stacked state; then each point's records, checks and artifacts
+    are made and its exit line printed, in the order of ``values``.
+    """
     scn = parse_scenario(config_path)
     if param not in SWEEP_KEYS:
         raise ConfigError(f"cannot sweep over {param!r}")
     base_out = resolve_outdir(config_path, outdir)
     owners: dict[Path, float] = {}  # each subdir and the value that ran in it
-    worst = 0
+    points = []  # (value, subdir, the patched scenario or the ConfigError it gives)
     for value in values:
-        code = _sweep_point(scn, param, value, base_out / f"{param}_{value:g}", owners)
+        subdir = base_out / f"{param}_{value:g}"
+        try:
+            points.append((value, subdir, _patched(scn, param, value, subdir, owners)))
+        except ConfigError as exc:
+            points.append((value, subdir, exc))
+    batches = _column_batches([patched for _, _, patched in points])
+    runs = {}  # point index -> its entry of _integrated
+    worst = 0
+    for i, (value, subdir, patched) in enumerate(points):
+        if i in batches:
+            try:
+                runs.update(zip(batches[i], _integrated([points[j][2] for j in batches[i]])))
+            except CONFIG_ERRORS + SOLVER_ERRORS:
+                pass  # each point integrates alone in its turn and reports its own error
+        code = _sweep_point(patched, subdir, runs.pop(i, None))
         print(f"sweep {param}={value:g}: exit {code}")
         worst = max(worst, code)
     return worst
 
 
-@_exit_code
-def _sweep_point(scn: Scenario, param: str, value: float, outdir: Path, owners) -> int:
-    """Run one value of a sweep in ``outdir``, unless an earlier value of the
-    sweep, recorded in ``owners``, already used that directory.  Nothing is
-    written for a value that gives an invalid scenario."""
+def _patched(scn: Scenario, param: str, value: float, outdir: Path, owners) -> Scenario:
+    """``scn`` with ``param`` set to ``value``, validated, for a sweep point to
+    run in ``outdir``; raises ConfigError when the value is invalid or an
+    earlier value of the sweep, recorded in ``owners``, took ``outdir``."""
     where = f"{param}={value:g}"
     if outdir in owners:
         raise ConfigError(f"{param}={value!r}: {outdir.name} is already used by "
@@ -539,10 +593,38 @@ def _sweep_point(scn: Scenario, param: str, value: float, outdir: Path, owners) 
         patched = replace(scn, **{param: typed})
     _validate(patched, where)
     owners[outdir] = value
+    return patched
+
+
+def _column_batches(scns: list) -> dict[int, list[int]]:
+    """The sweep points to integrate together: lists of at most MAX_COLUMNS
+    indices of scenarios that share params, n_nodes, T and dt, each keyed by
+    its first index.  Invalid points (not a Scenario) and those that exit 2
+    or 3 before integrating are left out, and so is a point alone."""
+    groups: dict[tuple, list[int]] = {}
+    for i, scn in enumerate(scns):
+        if isinstance(scn, Scenario):
+            try:
+                _constants(scn)
+            except CONFIG_ERRORS + (_Inadmissible,):
+                continue
+            groups.setdefault((scn.params, scn.n_nodes, scn.T, scn.dt), []).append(i)
+    batches = (group[s:s + MAX_COLUMNS] for group in groups.values()
+               for s in range(0, len(group), MAX_COLUMNS))
+    return {batch[0]: batch for batch in batches if len(batch) > 1}
+
+
+@_exit_code
+def _sweep_point(patched, outdir: Path, run) -> int:
+    """Run one point of a sweep in ``outdir``: ``patched`` is its scenario, or
+    the ConfigError it gave, in which case nothing is written; ``run`` is its
+    entry of ``_integrated``, or None to integrate it here."""
+    if isinstance(patched, ConfigError):
+        raise patched
     outdir.mkdir(parents=True, exist_ok=True)
     # written for reproducibility: parse_scenario gives back ``patched``
     (outdir / "scenario.cfg").write_text(_scenario_to_config(patched))
-    return execute(patched, outdir)
+    return _execute(patched, outdir, run)
 
 
 def _scenario_to_config(scn: Scenario) -> str:

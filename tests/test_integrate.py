@@ -17,6 +17,7 @@ from twopointwave import (
     ProblemParams,
     assemble,
     integrate,
+    integrate_columns,
     manufacture,
     oracle_integrate,
     project_initial_data,
@@ -285,6 +286,83 @@ class TestBatchedForcing:
         assert shapes and all(len(s) == 3 and s[1:] == (1, 1) for s in shapes)
         if caller != "integrate":
             assert set(shapes) == {(1, 1, 1)}
+
+
+def _boundary_exp(amplitude, rate):
+    return Forcing(g0=lambda t: amplitude * math.exp(-rate * t))
+
+
+class TestColumns:
+    """integrate_columns advances k runs of one system as the columns of one
+    stacked state; each column must equal its run integrated alone, bit for
+    bit."""
+
+    T, DT = 0.2, 1e-3
+
+    @staticmethod
+    def runs(kind, sys):
+        """Four (forcing, c0, v0) that share sys and differ in their data."""
+        nodes = sys.mesh.nodes
+        if kind == "unforced":
+            return [(Forcing(), a * np.cos(np.pi * nodes), np.zeros(sys.m))
+                    for a in (1.0, 0.5, -2.0, 3.0)]
+        if kind == "boundary_exp":
+            return [(_boundary_exp(a, r), np.cos(np.pi * nodes), np.zeros(sys.m))
+                    for a, r in ((0.5, 0.25), (1.0, 1.0), (2.0, 0.5), (-1.0, 2.0))]
+        if kind == "manufactured":
+            out = []
+            for alpha in (0.5, 1.0, 2.0, 0.9):
+                ms = manufacture("decaying_cosine", P, alpha)
+                out.append((ms.forcing(), *project_initial_data(sys.mesh, ms.u0, ms.u1)))
+            return out
+        # different initial data, one forcing
+        return [(_boundary_exp(1.0, 1.0), c0, v0) for c0, v0 in (
+            (np.cos(np.pi * nodes), np.zeros(sys.m)), (1.0 + nodes, np.zeros(sys.m)),
+            (np.zeros(sys.m), np.sin(np.pi * nodes)), (nodes**2, -nodes))]
+
+    @pytest.mark.parametrize("kind", ["unforced", "boundary_exp", "manufactured", "initial_data"])
+    @pytest.mark.parametrize("n", [2, 33, 65])
+    def test_columns_equal_separate_runs(self, kind, n):
+        sys = assemble(uniform_mesh(n), P)
+        runs = self.runs(kind, sys)
+        alone = [integrate(sys, f, c0, v0, self.T, self.DT) for f, c0, v0 in runs]
+        for k in (1, 2, 3, 4):
+            forcings, c0s, v0s = zip(*runs[:k])
+            trajs = integrate_columns(sys, forcings, c0s, v0s, self.T, self.DT)
+            assert len(trajs) == k
+            for traj, ref in zip(trajs, alone):
+                np.testing.assert_array_equal(traj.times, ref.times)
+                np.testing.assert_array_equal(traj.coeffs, ref.coeffs)
+                np.testing.assert_array_equal(traj.velocities, ref.velocities)
+
+    def test_a_non_finite_column_leaves_the_others_alone(self):
+        sys = assemble(uniform_mesh(17), P)
+        runs = self.runs("boundary_exp", sys)[:3]
+        bad = runs[1][1].copy()
+        bad[-1] = math.inf
+        runs[1] = (runs[1][0], bad, runs[1][2])
+        forcings, c0s, v0s = zip(*runs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            trajs = integrate_columns(sys, forcings, c0s, v0s, self.T, self.DT)
+        assert not np.all(np.isfinite(trajs[1].coeffs[-1]))
+        for j in (0, 2):
+            ref = integrate(sys, *runs[j], self.T, self.DT)
+            np.testing.assert_array_equal(trajs[j].coeffs, ref.coeffs)
+            np.testing.assert_array_equal(trajs[j].velocities, ref.velocities)
+
+    @pytest.mark.parametrize("lengths", [(2, 1, 2), (2, 2, 1), (1, 2, 2), (0, 0, 0)])
+    def test_mismatched_lengths_rejected(self, lengths):
+        sys = assemble(uniform_mesh(5), P)
+        forcings, c0s, v0s = ([Forcing()] * lengths[0], [np.zeros(5)] * lengths[1],
+                              [np.zeros(5)] * lengths[2])
+        with pytest.raises(DimensionError):
+            integrate_columns(sys, forcings, c0s, v0s, self.T, self.DT)
+
+    def test_wrong_initial_length_in_one_column_rejected(self):
+        sys = assemble(uniform_mesh(5), P)
+        with pytest.raises(DimensionError):
+            integrate_columns(sys, [Forcing()] * 2, [np.zeros(5), np.zeros(4)],
+                              [np.zeros(5)] * 2, self.T, self.DT)
 
 
 class TestOracle:

@@ -1,7 +1,9 @@
+import importlib
 import math
 import re
 import types
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from twopointwave import (
 from twopointwave.cli import main
 from twopointwave.errors import ConfigError
 from twopointwave import scenario
+from twopointwave.galerkin import MAX_COLUMNS
 from twopointwave.scenario import convergence_study, sweep_scenario
 
 SMALL_RUN = """\
@@ -61,6 +64,11 @@ dt = 0.02
 forcing = manufactured
 manufactured = decaying_cosine
 """
+
+
+FORCED_RUN = SMALL_RUN + "forcing = boundary_exp\nforcing_rate = 0.5\n"
+# the package's ``integrate`` attribute is the function of that name
+integrate_module = importlib.import_module("twopointwave.integrate")
 
 
 def write_config(tmp_path, text, name="scenario.cfg"):
@@ -276,6 +284,118 @@ class TestConvergence:
             convergence_study(scn, levels=2)
 
 
+class TestPythonBuiltScenario:
+    """execute and convergence_study validate a Scenario built in Python as
+    parse_scenario validates a config."""
+
+    BAD = [
+        (dict(n_nodes=1), "need T > 0, dt > 0 and n_nodes >= 2"),
+        (dict(T=1.0, dt=0.3), "T=1.0 is not an integral multiple of dt=0.3"),
+        (dict(checks=("bogus",)), "unknown check 'bogus'; known: "),
+        (dict(checks=("sandwich", "sandwich")), "duplicate check 'sandwich'"),
+        (dict(initial_data="bogus"), "unknown initial_data 'bogus'"),
+    ]
+
+    @pytest.mark.parametrize("changes, message", BAD)
+    def test_execute_exits_2_with_one_line(self, tmp_path, capfd, changes, message):
+        scn = replace(Scenario(REFERENCE, n_nodes=9, T=0.1, dt=0.01), **changes)
+        assert scenario.execute(scn, tmp_path) == 2
+        printed = capfd.readouterr()
+        assert printed.err == ""
+        assert printed.out.startswith(f"config error: scenario: {message}")
+        assert printed.out.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("changes, message", BAD)
+    def test_convergence_study_raises_a_config_error(self, changes, message):
+        scn = replace(Scenario(REFERENCE, n_nodes=9, T=1.0, dt=0.02, forcing="manufactured",
+                               manufactured="decaying_cosine"), **changes)
+        with pytest.raises(ConfigError, match=f"^scenario: {re.escape(message)}"):
+            convergence_study(scn, levels=3)
+
+
+class TestSweepColumns:
+    """Sweep points that share params, n_nodes, T and dt are integrated
+    together, at most MAX_COLUMNS at a time, and give the artifacts of
+    separate runs."""
+
+    @staticmethod
+    def count_factorisations(monkeypatch):
+        built = []
+
+        class CountingStepper(integrate_module.MidpointStepper):
+            def __init__(self, sys, dt):
+                built.append(dt)
+                super().__init__(sys, dt)
+
+        monkeypatch.setattr(integrate_module, "MidpointStepper", CountingStepper)
+        return built
+
+    @staticmethod
+    def assert_same_as_a_run(tmp_path, subdir, key, value, text=FORCED_RUN):
+        alone = tmp_path / f"alone_{value:g}"
+        config = write_config(tmp_path, text + f"{key} = {value!r}\n", name=f"{value:g}.cfg")
+        assert run_scenario(config, outdir=alone) == 0
+        for name in ("energy.csv", "report.txt"):
+            assert (subdir / name).read_bytes() == (alone / name).read_bytes()
+
+    @pytest.mark.parametrize("n_values", [3, 2 * MAX_COLUMNS + 1])
+    def test_points_sharing_the_operator_factor_once_per_batch(self, tmp_path, monkeypatch,
+                                                                n_values):
+        built = self.count_factorisations(monkeypatch)
+        values = [0.5 * (i + 1) for i in range(n_values)]
+        config = write_config(tmp_path, FORCED_RUN)
+        assert sweep_scenario(config, "forcing_amplitude", values,
+                              outdir=tmp_path / "sweep") == 0
+        assert len(built) == math.ceil(n_values / MAX_COLUMNS)
+
+    def test_points_with_their_own_operator_factor_once_each(self, tmp_path, monkeypatch):
+        built = self.count_factorisations(monkeypatch)
+        config = write_config(tmp_path, FORCED_RUN)
+        assert sweep_scenario(config, "ht0", [0.0, 0.02, 0.05], outdir=tmp_path / "sweep") == 0
+        assert len(built) == 3
+
+    def test_columns_write_the_artifacts_of_separate_runs(self, tmp_path):
+        config = write_config(tmp_path, FORCED_RUN)
+        out = tmp_path / "sweep"
+        assert sweep_scenario(config, "forcing_amplitude", [0.5, 2.0], outdir=out) == 0
+        for value in (0.5, 2.0):
+            self.assert_same_as_a_run(tmp_path, out / f"forcing_amplitude_{value:g}",
+                                      "forcing_amplitude", value)
+
+    def test_a_non_finite_point_exits_4_alone(self, tmp_path, capsys):
+        # u0 = amplitude * (1 + x) overflows to inf at x = 1
+        text = FORCED_RUN + "initial_data = affine\n"
+        config = write_config(tmp_path, text)
+        out = tmp_path / "sweep"
+        assert sweep_scenario(config, "initial_amplitude", [1.0, 1.7e308, 2.0],
+                              outdir=out) == 4
+        printed = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith(("sweep", "solver"))]
+        assert printed[0] == "sweep initial_amplitude=1: exit 0"
+        assert printed[1].startswith("solver error: non-finite state: ")
+        assert printed[2:] == ["sweep initial_amplitude=1.7e+308: exit 4",
+                               "sweep initial_amplitude=2: exit 0"]
+        for value in (1.0, 2.0):
+            self.assert_same_as_a_run(tmp_path, out / f"initial_amplitude_{value:g}",
+                                      "initial_amplitude", value, text)
+
+    def test_a_failing_batch_reports_each_point_in_its_place(self, tmp_path, capsys):
+        # exp(1000 t) overflows in the middle point's forcing, which fails the
+        # whole batch; each point then integrates alone
+        config = write_config(tmp_path, FORCED_RUN)
+        out = tmp_path / "sweep"
+        assert sweep_scenario(config, "forcing_rate", [0.5, -1000.0, 1.0], outdir=out) == 4
+        printed = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith(("sweep", "solver"))]
+        assert printed == ["sweep forcing_rate=0.5: exit 0", "solver error: math range error",
+                           "sweep forcing_rate=-1000: exit 4", "sweep forcing_rate=1: exit 0"]
+        for value in (0.5, 1.0):
+            self.assert_same_as_a_run(tmp_path, out / f"forcing_rate_{value:g}",
+                                      "forcing_rate", value,
+                                      SMALL_RUN + "forcing = boundary_exp\n")
+
+
 class TestCli:
     def test_run_subcommand(self, tmp_path):
         config = write_config(tmp_path, SMALL_RUN)
@@ -308,22 +428,25 @@ class TestCli:
         ("initial_amplitude", 0.1 + 0.2, ""),
     ])
     def test_sweep_config_reproduces_the_run(self, tmp_path, monkeypatch, param, value, extra):
+        # every sweep point, integrated alone or as a column, runs through _execute
         ran = []
 
-        def recording_execute(scn, outdir):
+        def recording_execute(scn, outdir, run=None):
             ran.append(scn)
-            return execute(scn, outdir)
+            return execute(scn, outdir, run)
 
-        execute = scenario.execute
-        monkeypatch.setattr(scenario, "execute", recording_execute)
+        execute = scenario._execute
+        monkeypatch.setattr(scenario, "_execute", recording_execute)
         config = write_config(tmp_path, SMALL_RUN + extra)
         out = tmp_path / "sweep"
-        assert sweep_scenario(config, param, [value], outdir=out) == 0
-        (patched,) = ran
-        assert parse_scenario(out / f"{param}_{value:g}" / "scenario.cfg") == patched
-        target = patched.params if param == "ht0" else patched
-        assert getattr(target, param) == value
-        assert patched.eps1 == (0.22275 if extra else None)
+        values = [value, 2 * value]  # two columns of one run for initial_amplitude
+        assert sweep_scenario(config, param, values, outdir=out) == 0
+        assert len(ran) == len(values)
+        for v, patched in zip(values, ran):
+            assert parse_scenario(out / f"{param}_{v:g}" / "scenario.cfg") == patched
+            target = patched.params if param == "ht0" else patched
+            assert getattr(target, param) == v
+            assert patched.eps1 == (0.22275 if extra else None)
 
     def test_sweep_rejects_invalid_values_with_exit_2(self, tmp_path, capsys):
         config = write_config(tmp_path, SMALL_RUN)
