@@ -55,6 +55,9 @@ def main(argv=None) -> int:
         return sweep_scenario(args.config, args.param, args.values, outdir=args.outdir)
 
     # props
+    if args.samples < 1:
+        print(f"config error: --samples must be at least 1, got {args.samples}")
+        return 2
     reports = run_property_suites(args.seed, args.samples)
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"

@@ -118,9 +118,9 @@ def _resolve_steps(T: float, dt: float) -> int:
     return n_steps
 
 
-def _start(sys: GalerkinSystem, c0, v0, T: float, dt: float, t0: float):
-    """Checked initial vectors and the sample times t0 + k*dt, k = 0..T/dt."""
-    times = t0 + dt * np.arange(_resolve_steps(T, dt) + 1)
+def _start(sys: GalerkinSystem, c0, v0, T: float, dt: float):
+    """Checked initial vectors and the sample times k*dt, k = 0..T/dt."""
+    times = dt * np.arange(_resolve_steps(T, dt) + 1)
     c0, v0 = np.asarray(c0, dtype=float), np.asarray(v0, dtype=float)
     if c0.shape != (sys.m,) or v0.shape != (sys.m,):
         raise DimensionError(f"initial vectors must have length {sys.m}")
@@ -134,11 +134,10 @@ def integrate(
     v0: np.ndarray,
     T: float,
     dt: float,
-    t0: float = 0.0,
 ) -> Trajectory:
-    """Advance the system from (c0, v0) over [t0, t0+T] with fixed step dt:
+    """Advance the system from (c0, v0) over [0, T] with fixed step dt:
     ``integrate_columns`` with one column."""
-    return integrate_columns(sys, [forcing], [c0], [v0], T, dt, t0)[0]
+    return integrate_columns(sys, [forcing], [c0], [v0], T, dt)[0]
 
 
 def integrate_columns(
@@ -148,9 +147,8 @@ def integrate_columns(
     v0s: Sequence[np.ndarray],
     T: float,
     dt: float,
-    t0: float = 0.0,
 ) -> list[Trajectory]:
-    """Advance k runs of one system with one step dt over [t0, t0+T]: run j
+    """Advance k runs of one system with one step dt over [0, T]: run j
     starts from (c0s[j], v0s[j]) and is forced by forcings[j].
 
     The runs are the k columns of one stacked state Z = (V; C) of shape
@@ -169,7 +167,7 @@ def integrate_columns(
         raise DimensionError(f"need one forcing, c0 and v0 per run, got {k} forcings, "
                              f"{len(c0s)} c0 and {len(v0s)} v0")
     m = sys.m
-    starts = [_start(sys, c0, v0, T, dt, t0) for c0, v0 in zip(c0s, v0s)]
+    starts = [_start(sys, c0, v0, T, dt) for c0, v0 in zip(c0s, v0s)]
     times = starts[0][2]
     # Two arrays, not one of width 2m: freeing one allocation twice as large
     # raises glibc's dynamic mmap and trim thresholds, and the heap then keeps
@@ -208,7 +206,6 @@ def oracle_integrate(
     v0: np.ndarray,
     T: float,
     dt: float,
-    t0: float = 0.0,
 ) -> Trajectory:
     """DOP853 (rtol 1e-12, atol 1e-14) on the first-order form, sampled every
     dt, for validation only.  A failed solve raises ArithmeticError."""
@@ -217,7 +214,7 @@ def oracle_integrate(
     m = sys.m
     if m > ORACLE_MAX_DIM:
         raise DimensionError(f"oracle supports m <= {ORACLE_MAX_DIM}, got {m}")
-    c0, v0, times = _start(sys, c0, v0, T, dt, t0)
+    c0, v0, times = _start(sys, c0, v0, T, dt)
     M = sys.M.toarray()
     G = np.block([[np.zeros((m, m)), np.eye(m)],
                   [-np.linalg.solve(M, np.hstack([sys.K_mat.toarray(), sys.C_mat.toarray()]))]])

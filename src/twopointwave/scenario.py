@@ -158,7 +158,7 @@ def parse_scenario(path: str | os.PathLike) -> Scenario:
     raw: dict[str, str] = {}
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -297,7 +297,10 @@ def resolve_outdir(config_path, outdir=None) -> Path:
     if outdir is None:
         outdir = Path(config_path).with_suffix("").name + "_out"
     path = Path(outdir)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {path}: {exc}") from exc
     return path
 
 
@@ -432,7 +435,9 @@ def _require_finite(what: str, *arrays) -> None:
 @_exit_code
 def run_scenario(config_path, outdir=None) -> int:
     """Execute one scenario config; writes artifacts and returns the exit code."""
-    return execute(parse_scenario(config_path), resolve_outdir(config_path, outdir))
+    scn = parse_scenario(config_path)
+    dc = _constants(scn)  # exit 2 or 3 before the output directory is made
+    return _execute(scn, dc, resolve_outdir(config_path, outdir))
 
 
 @_exit_code
@@ -440,14 +445,14 @@ def execute(scn: Scenario, outdir) -> int:
     """Run a scenario, validated first as a parsed config is; writes artifacts
     to the existing directory ``outdir`` and returns the exit code."""
     _validate(scn, "scenario")
-    return _execute(scn, outdir)
+    return _execute(scn, _constants(scn), outdir)
 
 
 def _constants(scn: Scenario):
-    """The derived constants of ``scn``, or None when its params fail the
-    decay hypotheses; raises _Inadmissible when decay checks are requested
-    there, and DomainError or InfeasibleError for an eps1/eps2/delta
-    override out of range."""
+    """The derived constants of a validated ``scn``, or None when its params
+    fail the decay hypotheses; raises _Inadmissible when decay checks are
+    requested there, and DomainError or InfeasibleError for an eps1/eps2/delta
+    override out of range.  A run calls it before it writes anything."""
     verdict = validate_params(scn.params, require_decay_hypotheses=True)
     if verdict.accepted:
         return derive_constants(scn.params, eps1=scn.eps1, eps2=scn.eps2, delta=scn.delta)
@@ -457,11 +462,10 @@ def _constants(scn: Scenario):
     return None
 
 
-def _execute(scn: Scenario, outdir, run=None) -> int:
-    """``execute`` after validation.  ``run`` is the scenario's entry of
-    ``_integrated`` when it was integrated already; otherwise it is
-    integrated here, alone."""
-    dc = _constants(scn)
+def _execute(scn: Scenario, dc, outdir, run=None) -> int:
+    """``execute`` after validation, given the derived constants ``dc`` of
+    ``_constants``.  ``run`` is the scenario's entry of ``_integrated`` when
+    it was integrated already; otherwise it is integrated here, alone."""
     sys, forcing, ms, traj = run or _integrated([scn])[0]
     out = Path(outdir)
     with np.errstate(over="ignore", invalid="ignore"):  # the guards report inf/NaN
@@ -545,34 +549,43 @@ def converge_scenario(config_path, levels: int, outdir=None) -> int:
 def sweep_scenario(config_path, param: str, values: list[float], outdir=None) -> int:
     """Run the scenario once per value of ``param``, each in its own subdir.
 
-    Every value is first typed, patched and validated.  The points that will
-    integrate and share the operator and the step (params, n_nodes, T and
-    dt) are integrated together, up to MAX_COLUMNS at a time, as the columns
-    of one stacked state; then each point's records, checks and artifacts
-    are made and its exit line printed, in the order of ``values``.
+    Every value is first typed, patched, validated and given its constants.
+    The points that passed and share the operator and the step (params,
+    n_nodes, T and dt) are integrated together, up to MAX_COLUMNS at a time,
+    as the columns of one stacked state; then each point's records, checks
+    and artifacts are made and its exit line printed, in the order of ``values``.
     """
     scn = parse_scenario(config_path)
     if param not in SWEEP_KEYS:
         raise ConfigError(f"cannot sweep over {param!r}")
     base_out = resolve_outdir(config_path, outdir)
     owners: dict[Path, float] = {}  # each subdir and the value that ran in it
-    points = []  # (value, subdir, the patched scenario or the ConfigError it gives)
+    points = []  # (value, subdir, (patched scenario, constants) or the error it exits with)
+    groups: dict[tuple, list[int]] = {}  # indices of such pairs, by operator and step
     for value in values:
         subdir = base_out / f"{param}_{value:g}"
         try:
-            points.append((value, subdir, _patched(scn, param, value, subdir, owners)))
-        except ConfigError as exc:
-            points.append((value, subdir, exc))
-    batches = _column_batches([patched for _, _, patched in points])
+            patched = _patched(scn, param, value, subdir, owners)
+            prepared = (patched, _constants(patched))
+        except CONFIG_ERRORS + (_Inadmissible,) as exc:
+            prepared = exc
+        else:
+            key = (patched.params, patched.n_nodes, patched.T, patched.dt)
+            groups.setdefault(key, []).append(len(points))
+        points.append((value, subdir, prepared))
+    # the points to integrate together: 2 to MAX_COLUMNS indices, keyed by the first
+    chunks = (group[s:s + MAX_COLUMNS] for group in groups.values()
+              for s in range(0, len(group), MAX_COLUMNS))
+    batches = {chunk[0]: chunk for chunk in chunks if len(chunk) > 1}
     runs = {}  # point index -> its entry of _integrated
     worst = 0
-    for i, (value, subdir, patched) in enumerate(points):
+    for i, (value, subdir, prepared) in enumerate(points):
         if i in batches:
             try:
-                runs.update(zip(batches[i], _integrated([points[j][2] for j in batches[i]])))
+                runs.update(zip(batches[i], _integrated([points[j][2][0] for j in batches[i]])))
             except CONFIG_ERRORS + SOLVER_ERRORS:
                 pass  # each point integrates alone in its turn and reports its own error
-        code = _sweep_point(patched, subdir, runs.pop(i, None))
+        code = _sweep_point(prepared, subdir, runs.pop(i, None))
         print(f"sweep {param}={value:g}: exit {code}")
         worst = max(worst, code)
     return worst
@@ -596,35 +609,18 @@ def _patched(scn: Scenario, param: str, value: float, outdir: Path, owners) -> S
     return patched
 
 
-def _column_batches(scns: list) -> dict[int, list[int]]:
-    """The sweep points to integrate together: lists of at most MAX_COLUMNS
-    indices of scenarios that share params, n_nodes, T and dt, each keyed by
-    its first index.  Invalid points (not a Scenario) and those that exit 2
-    or 3 before integrating are left out, and so is a point alone."""
-    groups: dict[tuple, list[int]] = {}
-    for i, scn in enumerate(scns):
-        if isinstance(scn, Scenario):
-            try:
-                _constants(scn)
-            except CONFIG_ERRORS + (_Inadmissible,):
-                continue
-            groups.setdefault((scn.params, scn.n_nodes, scn.T, scn.dt), []).append(i)
-    batches = (group[s:s + MAX_COLUMNS] for group in groups.values()
-               for s in range(0, len(group), MAX_COLUMNS))
-    return {batch[0]: batch for batch in batches if len(batch) > 1}
-
-
 @_exit_code
-def _sweep_point(patched, outdir: Path, run) -> int:
-    """Run one point of a sweep in ``outdir``: ``patched`` is its scenario, or
-    the ConfigError it gave, in which case nothing is written; ``run`` is its
-    entry of ``_integrated``, or None to integrate it here."""
-    if isinstance(patched, ConfigError):
-        raise patched
+def _sweep_point(prepared, outdir: Path, run) -> int:
+    """Run one point of a sweep in ``outdir``: ``prepared`` is its scenario and
+    constants, or the error it exits with, in which case nothing is written;
+    ``run`` is its entry of ``_integrated``, or None to integrate it here."""
+    if isinstance(prepared, Exception):
+        raise prepared
+    patched, dc = prepared
     outdir.mkdir(parents=True, exist_ok=True)
     # written for reproducibility: parse_scenario gives back ``patched``
     (outdir / "scenario.cfg").write_text(_scenario_to_config(patched))
-    return _execute(patched, outdir, run)
+    return _execute(patched, dc, outdir, run)
 
 
 def _scenario_to_config(scn: Scenario) -> str:

@@ -207,6 +207,7 @@ class TestRunScenario:
         config = write_config(tmp_path, bad)
         assert run_scenario(config, outdir=tmp_path / "o") == 3
         assert "|lt0 + lt1| < 2*sqrt(lam0*lam1)" in capsys.readouterr().out
+        assert not (tmp_path / "o").exists()
 
     def test_inadmissible_without_decay_checks_runs(self, tmp_path):
         # conservation-style config: no interior/boundary damping at all
@@ -413,6 +414,13 @@ class TestCli:
     def test_props_subcommand(self):
         assert main(["props", "--seed", "11", "--samples", "400"]) == 0
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_props_without_samples_exits_2(self, capfd, samples):
+        assert main(["props", "--samples", samples]) == 2
+        printed = capfd.readouterr()
+        assert printed.err == ""
+        assert printed.out == f"config error: --samples must be at least 1, got {samples}\n"
+
     def test_sweep_subcommand(self, tmp_path):
         config = write_config(tmp_path, SMALL_RUN)
         out = tmp_path / "sweep"
@@ -431,9 +439,9 @@ class TestCli:
         # every sweep point, integrated alone or as a column, runs through _execute
         ran = []
 
-        def recording_execute(scn, outdir, run=None):
+        def recording_execute(scn, dc, outdir, run=None):
             ran.append(scn)
-            return execute(scn, outdir, run)
+            return execute(scn, dc, outdir, run)
 
         execute = scenario._execute
         monkeypatch.setattr(scenario, "_execute", recording_execute)
@@ -500,21 +508,35 @@ class TestCli:
         assert "solver error: non-finite state" in capsys.readouterr().out
         assert not (out / "convergence.csv").exists()
 
-    @pytest.mark.parametrize("command, text, code", [
-        ("run", SMALL_RUN, 0),
+    @pytest.mark.parametrize("command, text, outdir, code", [
+        ("run", SMALL_RUN, "o", 0),
         ("run", REFERENCE_CFG.read_text().replace("initial_amplitude = 1.0",
-                                                  "initial_amplitude = 1e200"), 4),
-        ("converge", MMS_BASE + "alpha = -900\n", 4),
-    ], ids=["healthy_run", "overflowing_run", "overflowing_converge"])
-    def test_stderr_stays_empty(self, tmp_path, capfd, command, text, code):
-        # the non-finite guard is the one report: no RuntimeWarning before it
-        config = write_config(tmp_path, text)
-        argv = [command, str(config), "--outdir", str(tmp_path / "o")]
+                                                  "initial_amplitude = 1e200"), "o", 4),
+        ("converge", MMS_BASE + "alpha = -900\n", "o", 4),
+        ("run", b"h0 = 1.0\xff\n", "o", 2),
+        ("converge", b"h0 = 1.0\xff\n", "o", 2),
+        ("sweep", b"h0 = 1.0\xff\n", "o", 2),
+        ("run", SMALL_RUN, "file", 2),
+        ("sweep", SMALL_RUN, "file/o", 2),
+    ], ids=["healthy_run", "overflowing_run", "overflowing_converge", "non_utf8_run",
+            "non_utf8_converge", "non_utf8_sweep", "outdir_is_a_file", "outdir_under_a_file"])
+    def test_stderr_stays_empty(self, tmp_path, capfd, command, text, outdir, code):
+        # the non-finite guard is the one report: no RuntimeWarning before it;
+        # an unreadable config or an outdir that cannot be made is one line
+        config = tmp_path / "scenario.cfg"
+        config.write_bytes(text if isinstance(text, bytes) else text.encode())
+        (tmp_path / "file").write_text("")
+        argv = [command, str(config), "--outdir", str(tmp_path / outdir)]
+        argv += {"converge": ["--levels", "3"], "sweep": ["--param", "ht0", "--values", "0"],
+                 "run": []}[command]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert main(argv + (["--levels", "3"] if command == "converge" else [])) == code
+            assert main(argv) == code
         assert [str(w.message) for w in caught] == []
-        assert capfd.readouterr().err == ""
+        printed = capfd.readouterr()
+        assert printed.err == ""
+        if code == 2:
+            assert re.fullmatch(r"config error: [^\n]*\n", printed.out)
 
     def test_horizon_not_a_multiple_of_dt_exits_2(self, tmp_path, capsys):
         text = SMALL_RUN.replace("T = 1.0", "T = 1.05").replace("dt = 0.01", "dt = 0.1")
@@ -613,19 +635,37 @@ class TestCli:
         out = tmp_path / "o"
         assert main(["run", str(config), "--outdir", str(out)]) == 2
         assert "config error: delta must lie in" in capsys.readouterr().out
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_sweep_reports_inadmissible_delta_and_runs_the_rest(self, tmp_path, capsys):
-        # delta = 0.3 needs lam - eps1/C0 > 0.3: true at lam = 1, false at lam = 0.2
+        # delta = 0.3 needs lam - eps1/C0 > 0.3: true at lam = 1, false at
+        # lam = 0.2; lam = -0.5 fails the decay hypotheses the sandwich check needs
         config = write_config(tmp_path, SMALL_RUN + "delta = 0.3\n")
         out = tmp_path / "sweep"
-        assert main(["sweep", str(config), "--param", "lam", "--values", "0.2", "1.0",
-                     "--outdir", str(out)]) == 2
+        assert main(["sweep", str(config), "--param", "lam", "--values", "0.2", "1.0", "-0.5",
+                     "--outdir", str(out)]) == 3
         printed = capsys.readouterr().out
+        assert "config error: delta must lie in" in printed
         assert "sweep lam=0.2: exit 2" in printed
         assert "sweep lam=1: exit 0" in printed
-        assert not (out / "lam_0.2" / "energy.csv").exists()
+        assert "hypothesis violation: decay checks requested but params fail" in printed
+        assert "sweep lam=-0.5: exit 3" in printed
+        assert not (out / "lam_0.2").exists()
+        assert not (out / "lam_-0.5").exists()
         assert (out / "lam_1" / "energy.csv").exists()
+
+    def test_sweep_derives_the_constants_once_per_runnable_point(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_derive_constants(*args, **kwargs):
+            calls.append(args)
+            return derive_constants(*args, **kwargs)
+
+        monkeypatch.setattr(scenario, "derive_constants", counting_derive_constants)
+        config = write_config(tmp_path, FORCED_RUN)
+        assert sweep_scenario(config, "forcing_amplitude", [0.5, math.nan, 1.0, 2.0],
+                              outdir=tmp_path / "sweep") == 2
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("key, value", [
         ("ht0", "inf"), ("lam", "nan"), ("initial_amplitude", "nan"),
