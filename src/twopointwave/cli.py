@@ -1,6 +1,6 @@
 """Command-line front end: run / converge / sweep / props.
 
-The output directory defaults to ``<config stem>_out`` next to the working
+The output directory defaults to ``<config stem>_out`` in the working
 directory; override with ``--outdir`` or the TWOPOINTWAVE_OUTDIR env var.
 """
 
@@ -9,8 +9,9 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .errors import ConfigError
 from .properties import run_property_suites
-from .scenario import converge_scenario, run_scenario, sweep_scenario
+from .scenario import _exit_code, converge_scenario, run_scenario, sweep_scenario
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -42,6 +43,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@_exit_code
+def _props(seed: int, samples: int) -> int:
+    if samples < 1:
+        raise ConfigError(f"--samples must be at least 1, got {samples}")
+    if seed < 0:
+        raise ConfigError(f"--seed must be at least 0, got {seed}")
+    reports = run_property_suites(seed, samples)
+    for rep in reports:
+        status = "PASS" if rep.passed else "FAIL"
+        print(f"{rep.name}: {status} (checked={rep.checked} violations={rep.violations} "
+              f"worst_margin={rep.worst_margin:.3e})")
+    return 0 if all(r.passed for r in reports) else 1
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
 
@@ -54,16 +69,7 @@ def main(argv=None) -> int:
     if args.command == "sweep":
         return sweep_scenario(args.config, args.param, args.values, outdir=args.outdir)
 
-    # props
-    if args.samples < 1:
-        print(f"config error: --samples must be at least 1, got {args.samples}")
-        return 2
-    reports = run_property_suites(args.seed, args.samples)
-    for rep in reports:
-        status = "PASS" if rep.passed else "FAIL"
-        print(f"{rep.name}: {status} (checked={rep.checked} violations={rep.violations} "
-              f"worst_margin={rep.worst_margin:.3e})")
-    return 0 if all(r.passed for r in reports) else 1
+    return _props(args.seed, args.samples)
 
 
 if __name__ == "__main__":

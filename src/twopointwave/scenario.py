@@ -25,8 +25,8 @@ per line, ``#`` starts a comment, numbers are finite decimal reals.  Keys:
 Artifacts per run: ``energy.csv`` (t, E, psi, Gamma, sigma, X, u0_trace,
 u1_trace at full round-trip precision), ``report.txt``, and optionally
 ``solution.csv``.  Exit codes: 0 all requested checks pass, 1 a check
-failed, 2 config error, 3 decay checks requested on inadmissible params,
-4 solver failure.
+failed, 2 config error or an unwritable output path, 3 decay checks
+requested on inadmissible params, 4 solver failure.
 """
 
 from __future__ import annotations
@@ -248,10 +248,9 @@ def _integrated(scns: list[Scenario]) -> list[tuple]:
     scenario, the assembled system, the forcing, the manufactured solution or
     None (``_problem``) and the trajectory."""
     first = scns[0]
-    with np.errstate(over="ignore", invalid="ignore"):  # the guards report inf/NaN
-        sys = assemble(uniform_mesh(first.n_nodes), first.params)
-        forcings, c0s, v0s, solutions = zip(*(_problem(scn, sys) for scn in scns))
-        trajs = integrate_columns(sys, forcings, c0s, v0s, first.T, first.dt)
+    sys = assemble(uniform_mesh(first.n_nodes), first.params)
+    forcings, c0s, v0s, solutions = zip(*(_problem(scn, sys) for scn in scns))
+    trajs = integrate_columns(sys, forcings, c0s, v0s, first.T, first.dt)
     return [(sys, *run) for run in zip(forcings, solutions, trajs)]
 
 
@@ -292,16 +291,12 @@ def read_energy_csv(path) -> EnergyRecords:
 
 
 def resolve_outdir(config_path, outdir=None) -> Path:
+    """``outdir``, else $TWOPOINTWAVE_OUTDIR, else ``<config stem>_out``; not made."""
     if outdir is None:
         outdir = os.environ.get(OUTDIR_ENV)
     if outdir is None:
         outdir = Path(config_path).with_suffix("").name + "_out"
-    path = Path(outdir)
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot make output directory {path}: {exc}") from exc
-    return path
+    return Path(outdir)
 
 
 @dataclass
@@ -405,15 +400,17 @@ CONFIG_ERRORS = (ConfigError, DomainError, InfeasibleError)
 
 
 def _exit_code(command):
-    """Wrap ``command``, which returns an exit code, so that a config error
-    prints ``config error: ...`` and gives 2, decay checks on inadmissible
-    params print ``hypothesis violation: ...`` and give 3, and a solver
-    failure prints ``solver error: ...`` and gives 4."""
+    """Run ``command``, which returns an exit code, with inf/NaN arithmetic silent
+    (the non-finite guards report it).  A config error or an OSError (an output path
+    that cannot be made or written) prints ``config error: ...`` and gives 2, decay
+    checks on inadmissible params print ``hypothesis violation: ...`` and give 3,
+    and a solver failure prints ``solver error: ...`` and gives 4."""
     @functools.wraps(command)
     def wrapped(*args, **kwargs) -> int:
         try:
-            return command(*args, **kwargs)
-        except CONFIG_ERRORS as exc:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return command(*args, **kwargs)
+        except CONFIG_ERRORS + (OSError,) as exc:
             print(f"config error: {exc}")
             return 2
         except _Inadmissible as exc:
@@ -443,7 +440,7 @@ def run_scenario(config_path, outdir=None) -> int:
 @_exit_code
 def execute(scn: Scenario, outdir) -> int:
     """Run a scenario, validated first as a parsed config is; writes artifacts
-    to the existing directory ``outdir`` and returns the exit code."""
+    to ``outdir``, made if it does not exist, and returns the exit code."""
     _validate(scn, "scenario")
     return _execute(scn, _constants(scn), outdir)
 
@@ -467,13 +464,13 @@ def _execute(scn: Scenario, dc, outdir, run=None) -> int:
     ``_constants``.  ``run`` is the scenario's entry of ``_integrated`` when
     it was integrated already; otherwise it is integrated here, alone."""
     sys, forcing, ms, traj = run or _integrated([scn])[0]
-    out = Path(outdir)
-    with np.errstate(over="ignore", invalid="ignore"):  # the guards report inf/NaN
-        _require_finite("trajectory", traj.coeffs, traj.velocities)
-        records = record_trajectory(traj, sys, scn.params, dc, forcing)
-        _require_finite("energy records", *(getattr(records, k) for k in COLUMNS))
+    _require_finite("trajectory", traj.coeffs, traj.velocities)
+    records = record_trajectory(traj, sys, scn.params, dc, forcing)
+    _require_finite("energy records", *(getattr(records, k) for k in COLUMNS))
     results, decay_report = _run_checks(scn, sys, dc, forcing, traj, records, ms)
 
+    out = Path(outdir)
+    out.mkdir(parents=True, exist_ok=True)
     write_energy_csv(out / "energy.csv", records, traj.traces)
     if scn.write_solution:
         _write_csv(out / "solution.csv", ["t"] + [f"u_{i}" for i in range(sys.m)],
@@ -513,10 +510,9 @@ def convergence_study(base: Scenario, levels: int) -> list[ConvergenceRow]:
     for lev in range(levels):
         scn = replace(base, n_nodes=(base.n_nodes - 1) * 2**lev + 1, dt=base.dt / 2**lev)
         sys, _, ms, traj = _integrated([scn])[0]
-        with np.errstate(over="ignore", invalid="ignore"):  # the guard reports inf/NaN
-            l2, h1 = error_norms(sys, traj.coeffs[-1],
-                                 lambda x: ms.u(x, scn.T), lambda x: ms.ux(x, scn.T))
-            _require_finite(f"errors at n_nodes={scn.n_nodes}", [l2, h1])
+        l2, h1 = error_norms(sys, traj.coeffs[-1],
+                             lambda x: ms.u(x, scn.T), lambda x: ms.ux(x, scn.T))
+        _require_finite(f"errors at n_nodes={scn.n_nodes}", [l2, h1])
         if prev is None:
             l2_order = h1_order = math.nan
         else:
@@ -533,6 +529,7 @@ def converge_scenario(config_path, levels: int, outdir=None) -> int:
     table and returns the exit code."""
     rows = convergence_study(parse_scenario(config_path), levels)
     out = resolve_outdir(config_path, outdir)
+    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "convergence.csv",
                ["n_nodes", "dt", "L2_error", "H1_error", "L2_order", "H1_order"],
                np.array([astuple(r) for r in rows]).T)
@@ -573,6 +570,8 @@ def sweep_scenario(config_path, param: str, values: list[float], outdir=None) ->
             key = (patched.params, patched.n_nodes, patched.T, patched.dt)
             groups.setdefault(key, []).append(len(points))
         points.append((value, subdir, prepared))
+    if groups:  # some point will run
+        base_out.mkdir(parents=True, exist_ok=True)
     # the points to integrate together: 2 to MAX_COLUMNS indices, keyed by the first
     chunks = (group[s:s + MAX_COLUMNS] for group in groups.values()
               for s in range(0, len(group), MAX_COLUMNS))
@@ -617,7 +616,7 @@ def _sweep_point(prepared, outdir: Path, run) -> int:
     if isinstance(prepared, Exception):
         raise prepared
     patched, dc = prepared
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir.mkdir(exist_ok=True)
     # written for reproducibility: parse_scenario gives back ``patched``
     (outdir / "scenario.cfg").write_text(_scenario_to_config(patched))
     return _execute(patched, dc, outdir, run)

@@ -307,6 +307,20 @@ class TestPythonBuiltScenario:
         assert printed.out.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    def test_execute_makes_its_directory(self, tmp_path, capsys):
+        out = tmp_path / "new" / "dir"
+        assert scenario.execute(Scenario(REFERENCE, n_nodes=9, T=0.1, dt=0.01), out) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["energy.csv", "report.txt"]
+        assert capsys.readouterr().out == f"artifacts in {out}\n"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_convergence_study_raises_on_non_finite_errors(self, tmp_path):
+        # the exact solution exp(900 t) cos(pi x) overflows before T = 1; the
+        # guard raises under the caller's float error state
+        scn = parse_scenario(write_config(tmp_path, MMS_BASE + "alpha = -900\n"))
+        with pytest.raises(FloatingPointError, match="non-finite state"):
+            convergence_study(scn, levels=3)
+
     @pytest.mark.parametrize("changes, message", BAD)
     def test_convergence_study_raises_a_config_error(self, changes, message):
         scn = replace(Scenario(REFERENCE, n_nodes=9, T=1.0, dt=0.02, forcing="manufactured",
@@ -414,12 +428,22 @@ class TestCli:
     def test_props_subcommand(self):
         assert main(["props", "--seed", "11", "--samples", "400"]) == 0
 
-    @pytest.mark.parametrize("samples", ["0", "-3"])
-    def test_props_without_samples_exits_2(self, capfd, samples):
-        assert main(["props", "--samples", samples]) == 2
+    @pytest.mark.parametrize("argv, code, line", [
+        pytest.param(["--samples", "0"], 2,
+                     re.escape("config error: --samples must be at least 1, got 0"), id="0"),
+        pytest.param(["--samples", "-3"], 2,
+                     re.escape("config error: --samples must be at least 1, got -3"), id="-3"),
+        pytest.param(["--seed", "-1"], 2,
+                     re.escape("config error: --seed must be at least 0, got -1"), id="seed"),
+        # numpy refuses the first suite's 291 TiB block before allocating any of it
+        pytest.param(["--samples", "1000000000000000"], 4,
+                     r"solver error: Unable to allocate [^\n]*", id="unallocatable"),
+    ])
+    def test_props_without_samples_exits_2(self, capfd, argv, code, line):
+        assert main(["props", *argv]) == code
         printed = capfd.readouterr()
         assert printed.err == ""
-        assert printed.out == f"config error: --samples must be at least 1, got {samples}\n"
+        assert re.fullmatch(line + "\n", printed.out)
 
     def test_sweep_subcommand(self, tmp_path):
         config = write_config(tmp_path, SMALL_RUN)
@@ -476,6 +500,38 @@ class TestCli:
         assert not (out / "n_nodes_9.5").exists()
         assert (out / "n_nodes_9" / "energy.csv").exists()
 
+    @pytest.mark.parametrize("taken", ["ht0_0", "ht0_0/scenario.cfg"])
+    def test_sweep_point_with_an_unwritable_path(self, tmp_path, capfd, taken):
+        # a file where the point's subdirectory goes, or a directory where its
+        # scenario.cfg goes, fails that point alone
+        out = tmp_path / "sweep"
+        if taken == "ht0_0":
+            out.mkdir()
+            (out / taken).write_text("")
+        else:
+            (out / taken).mkdir(parents=True)
+        config = write_config(tmp_path, SMALL_RUN)
+        assert main(["sweep", str(config), "--param", "ht0", "--values", "0", "0.01",
+                     "--outdir", str(out)]) == 2
+        printed = capfd.readouterr()
+        assert printed.err == ""
+        lines = [line for line in printed.out.splitlines()
+                 if line.startswith(("sweep", "config error"))]
+        assert lines[1:] == ["sweep ht0=0: exit 2", "sweep ht0=0.01: exit 0"]
+        assert lines[0].startswith("config error: ") and str(out / taken) in lines[0]
+        assert (out / "ht0_0.01" / "energy.csv").exists()
+
+    def test_sweep_in_which_no_point_runs_makes_no_directory(self, tmp_path, capsys):
+        # delta = 0.3 is out of range at lam = 0.2 (exit 2), and lam = -0.5
+        # fails the decay hypotheses the sandwich check needs (exit 3)
+        config = write_config(tmp_path, SMALL_RUN + "delta = 0.3\n")
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(config), "--param", "lam", "--values", "0.2", "-0.5",
+                     "--outdir", str(out)]) == 3
+        printed = capsys.readouterr().out
+        assert "sweep lam=0.2: exit 2" in printed and "sweep lam=-0.5: exit 3" in printed
+        assert not out.exists()
+
     @pytest.mark.parametrize("rate", [-1000.0, -36.0])
     def test_forcing_overflow_exits_4(self, tmp_path, capsys, rate):
         # -1000 overflows math.exp inside the load vector, -36 overflows
@@ -518,14 +574,20 @@ class TestCli:
         ("sweep", b"h0 = 1.0\xff\n", "o", 2),
         ("run", SMALL_RUN, "file", 2),
         ("sweep", SMALL_RUN, "file/o", 2),
+        ("run", SMALL_RUN, "taken", 2),
+        ("converge", MMS_BASE, "taken", 2),
     ], ids=["healthy_run", "overflowing_run", "overflowing_converge", "non_utf8_run",
-            "non_utf8_converge", "non_utf8_sweep", "outdir_is_a_file", "outdir_under_a_file"])
+            "non_utf8_converge", "non_utf8_sweep", "outdir_is_a_file", "outdir_under_a_file",
+            "energy_csv_is_a_directory", "convergence_csv_is_a_directory"])
     def test_stderr_stays_empty(self, tmp_path, capfd, command, text, outdir, code):
         # the non-finite guard is the one report: no RuntimeWarning before it;
-        # an unreadable config or an outdir that cannot be made is one line
+        # an unreadable config or an output path that cannot be made or
+        # written is one line
         config = tmp_path / "scenario.cfg"
         config.write_bytes(text if isinstance(text, bytes) else text.encode())
         (tmp_path / "file").write_text("")
+        for name in ("energy.csv", "convergence.csv"):
+            (tmp_path / "taken" / name).mkdir(parents=True)
         argv = [command, str(config), "--outdir", str(tmp_path / outdir)]
         argv += {"converge": ["--levels", "3"], "sweep": ["--param", "ht0", "--values", "0"],
                  "run": []}[command]
