@@ -14,6 +14,7 @@ from .galerkin import (
     Mesh,
     uniform_mesh,
     Forcing,
+    Separable,
     GalerkinSystem,
     assemble,
     load_vector,

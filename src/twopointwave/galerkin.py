@@ -36,6 +36,7 @@ __all__ = [
     "Mesh",
     "uniform_mesh",
     "Forcing",
+    "Separable",
     "GalerkinSystem",
     "assemble",
     "load_vector",
@@ -78,13 +79,39 @@ class Forcing:
     (k, 1, 1), one time being a block of one, and its value must broadcast to
     (k, n-1, 3); ``compat`` evaluates f(x, 0.0) for initial data.  ``g0`` and
     ``g1`` are called with one time at a time, so a ``math.exp`` closure will
-    do, and an overflow there still raises.  ``None`` for any component means
+    do, and an overflow there still raises.  A ``Separable`` component is
+    instead evaluated on a whole block of times: ``load_vector`` calls its
+    time factors with the 1-d array of times and projects an f's space
+    factors onto the hats once per system.  ``None`` for any component means
     identically zero (and skips its work).
     """
 
     f: Callable | None = None
     g0: Callable | None = None
     g1: Callable | None = None
+
+
+class Separable:
+    """The sum of products theta_i(t) * s_i over ``terms``, pairs (theta_i, s_i).
+
+    Each time factor theta_i gives its values elementwise on a numpy array
+    of times.  For an ``f`` each space factor s_i is a function of x and the
+    sum is called as f(x, t); for a ``g0`` or ``g1`` each s_i is a number and
+    it is called as g(t).  Called so, it is a plain forcing component, so
+    every consumer of a ``Forcing`` takes it; ``load_vector`` and
+    ``sigma_forcing`` recognise it and evaluate it per block of times.
+    """
+
+    def __init__(self, terms):
+        self.terms = tuple(terms)
+        # the Gauss points the hat projections of the space factors were made
+        # on, and those projections (``_projections``)
+        self._projected = (None, ())
+
+    def __call__(self, *x_t):
+        *x, t = x_t
+        values = [theta(t) * (s(*x) if x else s) for theta, s in self.terms]
+        return sum(values[1:], values[0])
 
 
 @dataclass
@@ -176,9 +203,40 @@ def _quad_values(f: Callable, quad_x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return vals if vals.shape == shape else np.broadcast_to(vals, shape)
 
 
+def _on_times(fn: Callable, t: np.ndarray) -> np.ndarray:
+    """fn called once on the 1-d array of times t, as an array of t's shape."""
+    values = np.asarray(fn(t), dtype=float)
+    return values if values.shape == t.shape else np.broadcast_to(values, t.shape)
+
+
 def _boundary_values(g: Callable, t: np.ndarray) -> np.ndarray:
-    """g at every time in the 1-d array t, called with one time at a time."""
+    """g at every time in the 1-d array t: a ``Separable`` on the whole block,
+    any other callable one time at a time."""
+    if isinstance(g, Separable):
+        return _on_times(g, t)
     return np.array([float(g(s)) for s in t])
+
+
+def _add_hat_loads(F: np.ndarray, sys: GalerkinSystem, values: np.ndarray) -> None:
+    """Add <f, w_j> to F[..., j], given f at the Gauss points, shape
+    (..., n-1, 3)."""
+    scaled = (0.5 * sys.mesh.h) * values * _GAUSS_W
+    F[..., :-1] += scaled @ _SHAPE_LEFT
+    F[..., 1:] += scaled @ _SHAPE_RIGHT
+
+
+def _projections(sys: GalerkinSystem, f: Separable) -> list[np.ndarray]:
+    """<s_i, w_j> for each space factor s_i of f, one vector of length m per
+    term, kept on f for the last system it was used with."""
+    quad_x, projections = f._projected
+    if quad_x is not sys.quad_x:
+        projections = []
+        for _, s in f.terms:
+            load = np.zeros(sys.m)
+            _add_hat_loads(load, sys, np.broadcast_to(s(sys.quad_x), sys.quad_x.shape))
+            projections.append(load)
+        f._projected = (sys.quad_x, projections)
+    return projections
 
 
 def load_vector(sys: GalerkinSystem, forcing: Forcing, t) -> np.ndarray:
@@ -187,7 +245,8 @@ def load_vector(sys: GalerkinSystem, forcing: Forcing, t) -> np.ndarray:
     ``t`` is a 1-d array of k times, giving one row per time, shape (k, m),
     or one time, evaluated as a block of one and giving its row.  f is
     evaluated once for all times; every row equals the load of its time
-    computed alone, bit for bit.
+    computed alone, bit for bit.  A ``Separable`` f adds theta_i(t) times the
+    projection of s_i for each term, elementwise, so it costs O(m) per time.
     """
     t = np.asarray(t, dtype=float)
     if t.ndim == 0:
@@ -197,10 +256,11 @@ def load_vector(sys: GalerkinSystem, forcing: Forcing, t) -> np.ndarray:
         F[:, 0] -= _boundary_values(forcing.g0, t)
     if forcing.g1 is not None:
         F[:, -1] -= _boundary_values(forcing.g1, t)
-    if forcing.f is not None:
-        scaled = (0.5 * sys.mesh.h) * _quad_values(forcing.f, sys.quad_x, t) * _GAUSS_W
-        F[:, :-1] += scaled @ _SHAPE_LEFT
-        F[:, 1:] += scaled @ _SHAPE_RIGHT
+    if isinstance(forcing.f, Separable):
+        for (theta, _), load in zip(forcing.f.terms, _projections(sys, forcing.f)):
+            F += _on_times(theta, t)[:, None] * load
+    elif forcing.f is not None:
+        _add_hat_loads(F, sys, _quad_values(forcing.f, sys.quad_x, t))
     return F
 
 

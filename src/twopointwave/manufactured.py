@@ -11,7 +11,13 @@ and the boundary data
     g1 = -u_x(1,.) - h1*u(1,.) - lam1*u_t(1,.) - ht0*u(0,.) - lt0*u_t(0,.)
 
 come out analytically, together with the time-differentiated copies needed
-by the regularity-ladder checks.
+by the regularity-ladder checks.  ``forcing`` gives them as ``Separable``
+sums of time factor times space factor,
+
+    f  = (T'' + K*T + lam*T')(t) * X(x) - T(t) * X''(x)
+    g0 = T(t) * disp0 + T'(t) * vel0,    g1 = T(t) * disp1 + T'(t) * vel1,
+
+so that the solver evaluates them on whole blocks of times.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import UnknownFormError
-from .galerkin import Forcing
+from .galerkin import Forcing, Separable
 from .params import ProblemParams
 
 __all__ = ["ManufacturedSolution", "manufacture", "FORM_NAMES"]
@@ -125,27 +131,37 @@ class ManufacturedSolution:
             + p.lam * form.T(k + 1, t) * form.X(x)
         )
 
-    def g0(self, t, dt_order: int = 0):
+    def _boundary_constants(self):
+        """(disp, vel) of g0 and of g1: g = T(t)*disp + T'(t)*vel."""
         p, form = self.p, self.form
-        k = dt_order
-        disp = form.Xx(0.0) - p.h0 * form.X(0.0) - p.ht1 * form.X(1.0)
-        vel = -p.lam0 * form.X(0.0) - p.lt1 * form.X(1.0)
-        return form.T(k, t) * disp + form.T(k + 1, t) * vel
+        X0, X1 = form.X(0.0), form.X(1.0)
+        return ((form.Xx(0.0) - p.h0 * X0 - p.ht1 * X1, -p.lam0 * X0 - p.lt1 * X1),
+                (-form.Xx(1.0) - p.h1 * X1 - p.ht0 * X0, -p.lam1 * X1 - p.lt0 * X0))
+
+    def g0(self, t, dt_order: int = 0):
+        (disp, vel), _ = self._boundary_constants()
+        return self.form.T(dt_order, t) * disp + self.form.T(dt_order + 1, t) * vel
 
     def g1(self, t, dt_order: int = 0):
-        p, form = self.p, self.form
-        k = dt_order
-        disp = -form.Xx(1.0) - p.h1 * form.X(1.0) - p.ht0 * form.X(0.0)
-        vel = -p.lam1 * form.X(1.0) - p.lt0 * form.X(0.0)
-        return form.T(k, t) * disp + form.T(k + 1, t) * vel
+        _, (disp, vel) = self._boundary_constants()
+        return self.form.T(dt_order, t) * disp + self.form.T(dt_order + 1, t) * vel
 
     def forcing(self, dt_order: int = 0) -> Forcing:
-        """Forcing of the dt_order-times time-differentiated problem."""
-        k = dt_order
+        """Forcing of the dt_order-times time-differentiated problem: f, g0
+        and g1 as ``Separable`` terms, the boundary constants computed once."""
+        p, form, k = self.p, self.form, dt_order
+
+        def T(order):
+            return lambda t: form.T(order, t)
+
+        def interior(t):
+            return form.T(k + 2, t) + p.K * form.T(k, t) + p.lam * form.T(k + 1, t)
+
+        (disp0, vel0), (disp1, vel1) = self._boundary_constants()
         return Forcing(
-            f=lambda x, t: self.f(x, t, k),
-            g0=lambda t: self.g0(t, k),
-            g1=lambda t: self.g1(t, k),
+            f=Separable([(interior, form.X), (T(k), lambda x: -form.Xxx(x))]),
+            g0=Separable([(T(k), disp0), (T(k + 1), vel0)]),
+            g1=Separable([(T(k), disp1), (T(k + 1), vel1)]),
         )
 
 

@@ -459,17 +459,26 @@ def _constants(scn: Scenario):
     return None
 
 
+def _require_makeable(out: Path) -> None:
+    """Raise now the OSError that making ``out`` would raise because ``out``,
+    or its nearest existing ancestor, is not a directory; makes nothing."""
+    existing = next((p for p in (out, *out.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        out.mkdir(parents=True, exist_ok=True)  # fails before it makes anything
+
+
 def _execute(scn: Scenario, dc, outdir, run=None) -> int:
     """``execute`` after validation, given the derived constants ``dc`` of
     ``_constants``.  ``run`` is the scenario's entry of ``_integrated`` when
     it was integrated already; otherwise it is integrated here, alone."""
+    out = Path(outdir)
+    _require_makeable(out)
     sys, forcing, ms, traj = run or _integrated([scn])[0]
     _require_finite("trajectory", traj.coeffs, traj.velocities)
     records = record_trajectory(traj, sys, scn.params, dc, forcing)
     _require_finite("energy records", *(getattr(records, k) for k in COLUMNS))
     results, decay_report = _run_checks(scn, sys, dc, forcing, traj, records, ms)
 
-    out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     write_energy_csv(out / "energy.csv", records, traj.traces)
     if scn.write_solution:

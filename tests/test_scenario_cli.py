@@ -66,6 +66,8 @@ manufactured = decaying_cosine
 """
 
 
+MMS_CFG = REFERENCE_CFG.parent / "manufactured_cosine.cfg"
+
 FORCED_RUN = SMALL_RUN + "forcing = boundary_exp\nforcing_rate = 0.5\n"
 # the package's ``integrate`` attribute is the function of that name
 integrate_module = importlib.import_module("twopointwave.integrate")
@@ -599,6 +601,41 @@ class TestCli:
         assert printed.err == ""
         if code == 2:
             assert re.fullmatch(r"config error: [^\n]*\n", printed.out)
+
+    @pytest.mark.parametrize("outdir, message", [
+        ("file", "[Errno 17] File exists: 'file'"),
+        ("file/o", "[Errno 20] Not a directory: 'file/o'"),
+    ])
+    def test_outdir_that_cannot_be_made_exits_before_integrating(self, tmp_path, monkeypatch,
+                                                                 capfd, outdir, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "file").write_text("")
+        calls = []
+        integrated = scenario._integrated
+        monkeypatch.setattr(scenario, "_integrated",
+                            lambda scns: calls.append(scns) or integrated(scns))
+        assert main(["run", str(REFERENCE_CFG), "--outdir", outdir]) == 2
+        assert calls == []
+        assert capfd.readouterr() == (f"config error: {message}\n", "")
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+    @pytest.mark.parametrize("command, line", [
+        (["converge", "--levels", "3"],
+         "solver error: non-finite state: 2 inf/NaN values in the errors at n_nodes=9"),
+        (["run"], "solver error: non-finite state: 198 inf/NaN values in the trajectory"),
+    ])
+    def test_overflowing_manufactured_forcing_exits_4(self, tmp_path, capfd, command, line):
+        # exp(900 t) overflows before T = 1: the forcing turns inf/NaN, the
+        # non-finite guard is the one report and no directory is made
+        text = MMS_CFG.read_text().replace("alpha = 1.0", "alpha = -900")
+        config = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command[0], str(config), "--outdir", str(out), *command[1:]]) == 4
+        assert [str(w.message) for w in caught] == []
+        assert capfd.readouterr() == (line + "\n", "")
+        assert not out.exists()
 
     def test_horizon_not_a_multiple_of_dt_exits_2(self, tmp_path, capsys):
         text = SMALL_RUN.replace("T = 1.0", "T = 1.05").replace("dt = 0.01", "dt = 0.1")
