@@ -181,10 +181,14 @@ def assemble(mesh: Mesh, p: ProblemParams) -> GalerkinSystem:
 # Gauss-point values of f per block of times in the batched quadrature:
 # bounds each temporary to 256 KB, whatever the number of times.
 BLOCK_VALUES = 32768
-# Runs stepped together as the columns of one stacked state, at most: bounds
-# the trajectories a sweep holds at once.  Per column and step (2 cores, one
-# BLAS thread), 4 columns took 5.4 us at n=33 and 10.5 us at n=257, against
-# 14.4 and 22.4 us for one, and 8 columns took longer than 4 at n=257.
+# Runs integrated together, at most: bounds the trajectories a sweep holds at
+# once.  The gain below was measured on the sparse step, where the runs are
+# the columns of one stacked state and share each product and solve: per
+# column and step (2 cores, one BLAS thread), 4 columns took 5.4 us at n=33
+# and 10.5 us at n=257, against 14.4 and 22.4 us for one, and 8 columns took
+# longer than 4 at n=257.  On the dense step (integrate.DENSE_MAX_DIM) each
+# run steps on its own, and a batch shares only the factorisation and the
+# blocks of load evaluation.
 MAX_COLUMNS = 4
 
 

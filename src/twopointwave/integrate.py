@@ -2,11 +2,14 @@
 
 The production scheme is the implicit midpoint rule: A-stable, second order,
 and it conserves the quadratic energy exactly in the undamped limit, which
-gives a free correctness probe.  Runs that share the system and the step
-advance together as the columns of one stacked state (``integrate_columns``;
-``integrate`` is its one-column case), so that k runs take one sparse product
-and one SuperLU solve per step instead of k.  scipy's DOP853 at tight
-tolerances, at tiny dimension, serves as an independent oracle.
+gives a free correctness probe.  A system with at most ``DENSE_MAX_DIM``
+unknowns steps with its dense one-step propagator, one matrix-vector product
+per state and step; a larger one with one sparse product and one SuperLU
+solve.  Runs that share the system and the step advance together
+(``integrate_columns``; ``integrate`` is its one-column case): on the sparse
+side as the columns of one stacked state, so that k runs take one product and
+one solve per step instead of k.  scipy's DOP853 at tight tolerances, at tiny
+dimension, serves as an independent oracle.
 """
 
 from __future__ import annotations
@@ -60,6 +63,25 @@ def project_initial_data(mesh: Mesh, u0, u1) -> tuple[np.ndarray, np.ndarray]:
     return c0, v0
 
 
+# Systems with at most this many unknowns step with the dense propagator: the
+# largest measured m at which no number of runs up to galerkin.MAX_COLUMNS
+# stepped more than 5% slower on it than on the sparse step.  Per step of
+# integrate_columns for k runs with boundary_exp forcing, in us, sparse /
+# dense (m = n nodes; 2 cores, one BLAS thread, median of 3 runs of best of
+# 7; BENCH_19.json also holds the unforced runs and the construction costs):
+#
+#       n     k = 1         k = 3          k = 4
+#       2   15.7 /  3.9   20.7 /  10.6   21.6 /  19.6
+#       9   13.6 /  3.8   20.4 /  12.0   21.8 /  14.9
+#      33   15.6 /  4.9   22.1 /  14.5   25.3 /  19.9
+#      65   17.2 /  7.9   24.7 /  20.8   29.9 /  30.5
+#      73                                29.2 /  30.4
+#      81                                29.1 /  36.4
+#     129   18.2 / 16.0   31.4 /  44.7   36.6 /  66.1
+#     257   21.6 / 70.0   56.0 / 270.1   57.1 / 341.4
+DENSE_MAX_DIM = 73
+
+
 class MidpointStepper:
     """Implicit midpoint update with the iteration matrix factored once.
 
@@ -69,11 +91,21 @@ class MidpointStepper:
         (M + dt/2*C_mat + dt^2/4*K_mat) vm = M v_n + dt/2*(F(t+dt/2) - K_mat c_n)
 
     and then v_{n+1} = 2*vm - v_n, c_{n+1} = c_n + dt*vm.  The step is fused on
-    the stacked state z = (v, c): the right-hand side is one product
-    R z + dt/2*F(t+dt/2) with R = [M | -dt/2*K_mat], built once next to the
-    SuperLU factor of the iteration matrix, and the new state overwrites z.
-    z may also be a (2m, k) block of k states as columns, advanced by the
-    same product and solve; each column is updated on its own.
+    the stacked state z = (v, c), and the new state overwrites z.  With
+    R = [M | -dt/2*K_mat] and L the SuperLU factor of the iteration matrix,
+    vm = L^-1 (R z + dt/2*F(t+dt/2)).  The step takes one of two paths, by
+    the number m of unknowns:
+
+    - m <= DENSE_MAX_DIM (``dense``): with Q = [Q_v | Q_c] = L^-1 R, the
+      step is z <- P z + (2w; dt*w), where P = [[2 Q_v - I, 2 Q_c],
+      [dt Q_v, I + dt Q_c]] is the dense one-step propagator and
+      w = L^-1 (dt/2*F(t+dt/2)).  It is applied as z <- z + (D z + (2w; dt*w))
+      with D = P - I, built once from the factor: one matrix-vector product
+      per step.  z is one state; the load term is skipped when the load is
+      zero.
+    - otherwise each step is one sparse product R z and one SuperLU solve.
+      z may also be a (2m, k) block of k states as columns, advanced by the
+      same product and solve; each column is updated on its own.
     """
 
     def __init__(self, sys: GalerkinSystem, dt: float):
@@ -89,19 +121,50 @@ class MidpointStepper:
         diag = np.abs(self._lu.U.diagonal())
         if not np.all(np.isfinite(diag)) or np.min(diag) <= 1e-14 * max(np.max(diag), 1.0):
             raise SingularMatrixError(dt)
-        # csr_array first: hstack cannot take the dense blocks of a hand-built system
-        self._R = hstack([csr_array(sys.M), csr_array(-0.5 * dt * sys.K_mat)], format="csr")
+        self.dense = sys.m <= DENSE_MAX_DIM
+        if self.dense:
+            # [E | Q_c] = L^-1 [M - iteration matrix | -dt/2*K_mat], E solved
+            # for directly rather than taken as Q_v - I, so that its small
+            # entries keep their relative precision; csr_array first, since a
+            # hand-built system may hold dense blocks
+            blocks = (0.5 * dt * sys.C_mat + 0.25 * dt * dt * sys.K_mat, 0.5 * dt * sys.K_mat)
+            E, Q_c = np.hsplit(self._lu.solve(np.hstack([csr_array(-b).toarray() for b in blocks])), 2)
+            self._D = np.block([[2.0 * E, 2.0 * Q_c], [dt * (np.eye(sys.m) + E), dt * Q_c]])
+            self._change = np.empty(2 * sys.m)
+        else:
+            # csr_array first: hstack cannot take the dense blocks of a hand-built system
+            self._R = hstack([csr_array(sys.M), csr_array(-0.5 * dt * sys.K_mat)], format="csr")
 
     def step(self, forcing: Forcing, c: np.ndarray, v: np.ndarray, t: float):
         z = np.concatenate([v, c])
-        self.advance(z, 0.5 * self.dt * load_vector(self.sys, forcing, t + 0.5 * self.dt))
+        load = 0.5 * self.dt * load_vector(self.sys, forcing, t + 0.5 * self.dt)
+        self.advance(z, self.forcing_terms(load[None])[0])
         return z[self.sys.m:], z[:self.sys.m]
 
-    def advance(self, z: np.ndarray, half_dt_load: np.ndarray) -> None:
-        """Overwrite the stacked state z = (v, c) with the state one step on,
-        given dt/2 times the midpoint load F(t + dt/2); for a (2m, k) block
-        z the load is (m, k), one column per state."""
-        vm = self._lu.solve(self._R @ z + half_dt_load)
+    def forcing_terms(self, half_dt_loads: np.ndarray):
+        """What ``advance`` adds at each step of a block, given dt/2 times the
+        midpoint loads F(t + dt/2), one row per step (shape (steps, m), or
+        (steps, m, k) for a block of k states): on the sparse side the loads;
+        on the dense side the rows (2w; dt*w), from one multi-right-hand-side
+        solve (SuperLU solves each column on its own), or None per step when
+        every load of the block is zero."""
+        if not self.dense:
+            return half_dt_loads
+        if not half_dt_loads.any():
+            return [None] * len(half_dt_loads)
+        w = self._lu.solve(half_dt_loads.T).T
+        return np.concatenate([2.0 * w, self.dt * w], axis=1)
+
+    def advance(self, z: np.ndarray, term) -> None:
+        """Overwrite the stacked state z = (v, c) with the state one step on;
+        ``term`` is the step's row of ``forcing_terms``."""
+        if self.dense:
+            np.matmul(self._D, z, out=self._change)
+            if term is not None:
+                self._change += term
+            z += self._change
+            return
+        vm = self._lu.solve(self._R @ z + term)
         v, c = z[:len(vm)], z[len(vm):]
         np.subtract(2.0 * vm, v, out=v)
         c += self.dt * vm
@@ -151,14 +214,18 @@ def integrate_columns(
     """Advance k runs of one system with one step dt over [0, T]: run j
     starts from (c0s[j], v0s[j]) and is forced by forcings[j].
 
-    The runs are the k columns of one stacked state Z = (V; C) of shape
-    (2m, k), and each step is one ``MidpointStepper.advance`` on Z, the same
-    update as ``MidpointStepper.step``.  Each column is updated on its own, so
-    run j equals run j integrated alone, bit for bit, and an inf or NaN in one
-    column leaves the others alone.  One column steps as the 1-d state
-    Z[:, 0], which costs less per step than a (2m, 1) block.  The midpoint
-    loads come from one ``load_vector`` call per run and block of steps
-    (``time_blocks``).  The states are stored in one (k, N+1, m) array of
+    Every step is a ``MidpointStepper.advance``, the same update as
+    ``MidpointStepper.step``.  On the dense side (m <= DENSE_MAX_DIM) each run
+    steps as its own 1-d state: one (2m, k) product would differ from k
+    matrix-vector products in the last bits.  On the sparse side the runs are
+    the k columns of one stacked state Z = (V; C) of shape (2m, k), one
+    product and one solve per step; one run steps as a 1-d state, which costs
+    less per step than a (2m, 1) block.  Either way each column is updated on
+    its own, so run j equals run j integrated alone, bit for bit, and an inf
+    or NaN in one column leaves the others alone.  The midpoint loads come
+    from one ``load_vector`` call per run and block of steps (``time_blocks``),
+    and ``MidpointStepper.forcing_terms`` turns each run's block into its
+    step terms.  The states are stored in one (k, N+1, m) array of
     coefficients and one of velocities, and the trajectory of run j views
     their slices j.
     """
@@ -178,19 +245,23 @@ def integrate_columns(
         CS[j, 0], VS[j, 0] = c0, v0
     stepper = MidpointStepper(sys, dt)
     Z = np.concatenate([VS[:, 0].T, CS[:, 0].T])
-    state = Z[:, 0] if k == 1 else Z
-    v, c = state[:m], state[m:]
-    # row n is sample n of every run, shaped like v and c
-    V_rows, C_rows = (VS[0], CS[0]) if k == 1 else (VS.transpose(1, 2, 0), CS.transpose(1, 2, 0))
+    # (state, its rows of VS and CS, its columns of the loads); row n of the
+    # rows is sample n of the state's runs, shaped like its v and c
+    if stepper.dense or k == 1:
+        lanes = [(Z[:, j].copy(), VS[j], CS[j], j) for j in range(k)]
+    else:
+        lanes = [(Z, VS.transpose(1, 2, 0), CS.transpose(1, 2, 0), slice(None))]
     for block in time_blocks(sys, len(times) - 1):
         t = times[block] + 0.5 * dt
         loads = np.stack([load_vector(sys, f, t) for f in forcings], axis=-1)
         loads *= 0.5 * dt
-        for n, load in zip(range(block.start + 1, block.stop + 1),
-                           loads.reshape((len(t),) + v.shape)):
-            stepper.advance(state, load)
-            V_rows[n] = v
-            C_rows[n] = c
+        for state, V_rows, C_rows, cols in lanes:
+            v, c = state[:m], state[m:]
+            for n, term in zip(range(block.start + 1, block.stop + 1),
+                               stepper.forcing_terms(loads[..., cols])):
+                stepper.advance(state, term)
+                V_rows[n] = v
+                C_rows[n] = c
     return [Trajectory(times, CS[j], VS[j]) for j in range(k)]
 
 

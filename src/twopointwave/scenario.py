@@ -536,8 +536,10 @@ def convergence_study(base: Scenario, levels: int) -> list[ConvergenceRow]:
 def converge_scenario(config_path, levels: int, outdir=None) -> int:
     """Convergence study of one config; writes ``convergence.csv``, prints the
     table and returns the exit code."""
-    rows = convergence_study(parse_scenario(config_path), levels)
+    base = parse_scenario(config_path)
     out = resolve_outdir(config_path, outdir)
+    _require_makeable(out)
+    rows = convergence_study(base, levels)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "convergence.csv",
                ["n_nodes", "dt", "L2_error", "H1_error", "L2_order", "H1_order"],
@@ -558,7 +560,7 @@ def sweep_scenario(config_path, param: str, values: list[float], outdir=None) ->
     Every value is first typed, patched, validated and given its constants.
     The points that passed and share the operator and the step (params,
     n_nodes, T and dt) are integrated together, up to MAX_COLUMNS at a time,
-    as the columns of one stacked state; then each point's records, checks
+    in one ``integrate_columns`` call; then each point's records, checks
     and artifacts are made and its exit line printed, in the order of ``values``.
     """
     scn = parse_scenario(config_path)

@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse import csc_array
+from scipy.sparse.linalg import splu
 
 import twopointwave
 
@@ -27,7 +29,7 @@ from twopointwave import (
 from conftest import boundary_integral
 from twopointwave.errors import DimensionError, SingularMatrixError
 from twopointwave.galerkin import BLOCK_VALUES, error_norms, load_vector, time_blocks
-from twopointwave.integrate import MidpointStepper
+from twopointwave.integrate import DENSE_MAX_DIM, MidpointStepper
 
 P = ProblemParams(h0=1.0, h1=0.5, lam0=1.0, lam1=1.0, ht0=0.01, ht1=0.01,
                   lt0=0.1, lt1=0.1, K=1.0, lam=1.0)
@@ -363,6 +365,46 @@ class TestColumns:
         with pytest.raises(DimensionError):
             integrate_columns(sys, [Forcing()] * 2, [np.zeros(5), np.zeros(4)],
                               [np.zeros(5)] * 2, self.T, self.DT)
+
+
+class TestDenseAndSparsePaths:
+    """Systems with at most DENSE_MAX_DIM unknowns step with the dense
+    propagator, larger ones with a sparse product and a SuperLU solve; on
+    either side, integrate and integrate_columns must agree with a plain
+    sparse midpoint loop over a long run on physical data."""
+
+    DT, STEPS = 1e-3, 1000
+
+    @staticmethod
+    def plain_loop(sys, forcing, c, v, times, dt):
+        """The midpoint rule as two sparse products and one SuperLU solve of
+        the iteration matrix per step."""
+        lu = splu(csc_array(sys.M + 0.5 * dt * sys.C_mat + 0.25 * dt * dt * sys.K_mat))
+        cs, vs = [c], [v]
+        for t in times[:-1]:
+            load = load_vector(sys, forcing, t + 0.5 * dt)
+            vm = lu.solve(sys.M @ v + 0.5 * dt * (load - sys.K_mat @ c))
+            c, v = c + dt * vm, 2.0 * vm - v
+            cs.append(c)
+            vs.append(v)
+        return np.array(cs), np.array(vs)
+
+    @pytest.mark.parametrize("n", [2, 33, 65, DENSE_MAX_DIM, DENSE_MAX_DIM + 1])
+    def test_both_paths_match_a_plain_sparse_loop(self, n):
+        sys = assemble(uniform_mesh(n), P)
+        assert MidpointStepper(sys, self.DT).dense == (n <= DENSE_MAX_DIM)
+        nodes = sys.mesh.nodes
+        ms = manufacture("decaying_cosine", P, 1.0)
+        runs = [(Forcing(), np.cos(np.pi * nodes), np.zeros(n)),
+                (_boundary_exp(1.0, 0.5), 1.0 + nodes, np.zeros(n)),
+                (ms.forcing(), *project_initial_data(sys.mesh, ms.u0, ms.u1))]
+        T = self.STEPS * self.DT
+        columns = integrate_columns(sys, *zip(*runs), T, self.DT)
+        for (forcing, c0, v0), column in zip(runs, columns):
+            want_c, want_v = self.plain_loop(sys, forcing, c0, v0, column.times, self.DT)
+            for traj in (column, integrate(sys, forcing, c0, v0, T, self.DT)):
+                for got, want in ((traj.coeffs, want_c), (traj.velocities, want_v)):
+                    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestOracle:

@@ -602,19 +602,22 @@ class TestCli:
         if code == 2:
             assert re.fullmatch(r"config error: [^\n]*\n", printed.out)
 
-    @pytest.mark.parametrize("outdir, message", [
-        ("file", "[Errno 17] File exists: 'file'"),
-        ("file/o", "[Errno 20] Not a directory: 'file/o'"),
+    @pytest.mark.parametrize("command, outdir, message", [
+        pytest.param(command, outdir, message, id=f"{prefix}{outdir}-{message}")
+        for prefix, command in (("", ["run", str(REFERENCE_CFG)]),
+                                ("converge-", ["converge", str(MMS_CFG), "--levels", "3"]))
+        for outdir, message in (("file", "[Errno 17] File exists: 'file'"),
+                                ("file/o", "[Errno 20] Not a directory: 'file/o'"))
     ])
     def test_outdir_that_cannot_be_made_exits_before_integrating(self, tmp_path, monkeypatch,
-                                                                 capfd, outdir, message):
+                                                                 capfd, command, outdir, message):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "file").write_text("")
         calls = []
         integrated = scenario._integrated
         monkeypatch.setattr(scenario, "_integrated",
                             lambda scns: calls.append(scns) or integrated(scns))
-        assert main(["run", str(REFERENCE_CFG), "--outdir", outdir]) == 2
+        assert main([*command, "--outdir", outdir]) == 2
         assert calls == []
         assert capfd.readouterr() == (f"config error: {message}\n", "")
         assert [p.name for p in tmp_path.iterdir()] == ["file"]
