@@ -15,6 +15,7 @@ from .galerkin import (
     uniform_mesh,
     Forcing,
     Separable,
+    BandedOperator,
     GalerkinSystem,
     assemble,
     load_vector,

@@ -33,8 +33,8 @@ from .errors import (
     InsufficientDataError,
     TooFewSamplesError,
 )
-from .galerkin import (Forcing, GalerkinSystem, apply_rows, norm_1_sq, norm_a_sq,
-                       sigma_forcing, time_blocks)
+from .galerkin import (Forcing, GalerkinSystem, norm_1_sq, norm_a_sq, sigma_forcing,
+                       time_blocks)
 from .integrate import Trajectory
 from .params import DerivedConstants, ProblemParams
 
@@ -103,18 +103,17 @@ class DifferentialReport:
 def _functionals(sys: GalerkinSystem, p: ProblemParams, C: np.ndarray, V: np.ndarray):
     """E, psi and ||u'||^2 + ||u||_1^2 of each state row (C[n], V[n]).
 
-    Each of the five quadratic forms v'Mv, c'Ac, c'Mc, c'Mv and c'Sc is
-    evaluated once per row, one ``time_blocks`` block of rows at a time; c'Ac
-    and u(0)^2 + c'Sc are the package's ``norm_a_sq`` and ``norm_1_sq``.
+    Each of the five forms v'Mv, c'Ac, c'Mc, v'Mc and c'Sc is evaluated once
+    per row from the operators' bands (``BandedOperator.form``), one
+    ``time_blocks`` block of rows at a time; c'Ac and u(0)^2 + c'Sc are the
+    package's ``norm_a_sq`` and ``norm_1_sq``.
     """
     E, psi_, norms = np.empty(len(C)), np.empty(len(C)), np.empty(len(C))
     for b in time_blocks(sys, len(C)):
         c, v = C[b], V[b]
-        Mc = apply_rows(sys.M, c)
-        vMv = np.einsum("ni,ni->n", apply_rows(sys.M, v), v)
-        cMc = np.einsum("ni,ni->n", Mc, c)
+        vMv, cMc = sys.M.form(v), sys.M.form(c)
         E[b] = 0.5 * vMv + 0.5 * norm_a_sq(sys, c) + 0.5 * p.K * cMc
-        psi_[b] = (np.einsum("ni,ni->n", Mc, v) + 0.5 * p.lam * cMc
+        psi_[b] = (sys.M.form(v, c) + 0.5 * p.lam * cMc
                    + 0.5 * p.lam0 * c[:, 0]**2 + 0.5 * p.lam1 * c[:, -1]**2)
         norms[b] = vMv + norm_1_sq(sys, c)
     return E, psi_, norms

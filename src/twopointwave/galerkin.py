@@ -14,11 +14,12 @@ reproduces the weak form of the problem term for term:
     B = ht1*tr0 tr1^T + ht0*tr1 tr0^T          (displacement cross-coupling)
     F_j(t) = -g0(t) w_j(0) - g1(t) w_j(1) + <f(., t), w_j>
 
-Operators are ``scipy.sparse`` CSR arrays with O(m) stored entries: M and S
-are tridiagonal, summed from the 2x2 element matrices, and the boundary
+Operators are ``BandedOperator``s, numpy arrays with O(m) stored entries: M
+and S are tridiagonal, summed from the 2x2 element matrices, and the boundary
 terms A - S, D and B live only on the four corners (0, 0), (0, m-1),
 (m-1, m-1) and (m-1, 0).  Corners are added, never assigned: at two nodes
-(0, 1) and (1, 0) are also the off-diagonals of M and S.
+(0, 1) and (1, 0) are also the off-diagonals of M and S.  Nothing here
+imports scipy; ``tocsr``/``tocsc`` load ``scipy.sparse`` when called.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.sparse import coo_array, csr_array
 
 from .errors import DimensionError, MeshError
 from .params import ProblemParams
@@ -37,6 +37,7 @@ __all__ = [
     "uniform_mesh",
     "Forcing",
     "Separable",
+    "BandedOperator",
     "GalerkinSystem",
     "assemble",
     "load_vector",
@@ -104,9 +105,9 @@ class Separable:
 
     def __init__(self, terms):
         self.terms = tuple(terms)
-        # the Gauss points the hat projections of the space factors were made
-        # on, and those projections (``_projections``)
-        self._projected = (None, ())
+        # the Gauss points the space factors were evaluated on, their values
+        # there and their hat projections (``_space_factors``)
+        self._projected = (None, (), ())
 
     def __call__(self, *x_t):
         *x, t = x_t
@@ -114,9 +115,131 @@ class Separable:
         return sum(values[1:], values[0])
 
 
+class BandedOperator:
+    """An m x m matrix that is tridiagonal except for the two corners
+    (0, m-1) and (m-1, 0), stored as numpy arrays: ``lower`` (entries
+    (i+1, i)), ``diag``, ``upper`` (entries (i, i+1)) and ``corners`` =
+    (entry (0, m-1), entry (m-1, 0)).  For m <= 2 the corners are band
+    entries too, and an entry is the sum of its band and corner values.
+
+    It gives the products the package uses (``@`` on a vector or an (m, k)
+    block, ``apply_rows`` along the last axis of a stack of vectors, and
+    ``form``), sums and scalar multiples, ``toarray`` and ``diagonal``;
+    ``tocsr``/``tocsc`` import ``scipy.sparse`` only when called.
+    """
+
+    # numpy operands defer to the methods below instead of broadcasting
+    __array_ufunc__ = None
+
+    def __init__(self, lower, diag, upper, corners=(0.0, 0.0)):
+        self.diag = np.array(diag, dtype=float)
+        self.lower = np.array(lower, dtype=float)
+        self.upper = np.array(upper, dtype=float)
+        self.corners = np.array(corners, dtype=float)
+
+    @classmethod
+    def from_dense(cls, a) -> BandedOperator:
+        """The operator of the square array ``a``; raises DimensionError if
+        ``a`` has a nonzero entry outside the bands and corners."""
+        a = np.asarray(a, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise DimensionError(f"expected a square matrix, got shape {a.shape}")
+        m = len(a)
+        corners = (a[0, m - 1], a[m - 1, 0]) if m > 2 else (0.0, 0.0)
+        op = cls(a.diagonal(-1), a.diagonal(), a.diagonal(1), corners)
+        if not np.array_equal(op.toarray(), a):
+            raise DimensionError("matrix has entries outside the bands and corners")
+        return op
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.diag), len(self.diag))
+
+    @property
+    def nnz(self) -> int:
+        """Number of stored entries."""
+        return self.diag.size + self.lower.size + self.upper.size + self.corners.size
+
+    @property
+    def T(self) -> BandedOperator:
+        return BandedOperator(self.upper, self.diag, self.lower, self.corners[::-1])
+
+    def diagonal(self) -> np.ndarray:
+        return self.diag.copy()
+
+    def toarray(self) -> np.ndarray:
+        m = len(self.diag)
+        a = np.diag(self.diag)
+        i = np.arange(m - 1)
+        a[i, i + 1] = self.upper
+        a[i + 1, i] = self.lower
+        a[0, m - 1] += self.corners[0]
+        a[m - 1, 0] += self.corners[1]
+        return a
+
+    def tocsr(self):
+        from scipy.sparse import coo_array  # only the sparse step and the tests use it
+
+        m = len(self.diag)
+        i = np.arange(m)
+        rows = np.concatenate([i, i[:-1], i[1:], [0, m - 1]])
+        cols = np.concatenate([i, i[1:], i[:-1], [m - 1, 0]])
+        values = np.concatenate([self.diag, self.upper, self.lower, self.corners])
+        kept = values != 0.0  # stored zeros would only be multiplied
+        return coo_array((values[kept], (rows[kept], cols[kept])), shape=self.shape).tocsr()
+
+    def tocsc(self):
+        return self.tocsr().tocsc()
+
+    def apply_rows(self, x: np.ndarray) -> np.ndarray:
+        """Q x for every vector x along the last axis of ``x``."""
+        y = self.diag * x
+        y[..., :-1] += self.upper * x[..., 1:]
+        y[..., 1:] += self.lower * x[..., :-1]
+        if self.corners.any():
+            y[..., 0] += self.corners[0] * x[..., -1]
+            y[..., -1] += self.corners[1] * x[..., 0]
+        return y
+
+    def form(self, x: np.ndarray, y: np.ndarray | None = None):
+        """x^T Q y for each pair of vectors along the last axis of x and y,
+        evaluated from the bands; y = x gives the quadratic form."""
+        if y is None:
+            out = np.einsum("...i,i,...i->...", x, self.diag, x)
+            out += np.einsum("...i,i,...i->...", x[..., :-1], self.upper + self.lower, x[..., 1:])
+            if self.corners.any():
+                out += self.corners.sum() * x[..., 0] * x[..., -1]
+            return out
+        out = np.einsum("...i,i,...i->...", x, self.diag, y)
+        out += np.einsum("...i,i,...i->...", x[..., :-1], self.upper, y[..., 1:])
+        out += np.einsum("...i,i,...i->...", x[..., 1:], self.lower, y[..., :-1])
+        if self.corners.any():
+            out += self.corners[0] * x[..., 0] * y[..., -1] + self.corners[1] * x[..., -1] * y[..., 0]
+        return out
+
+    def __matmul__(self, x):
+        x = np.asarray(x, dtype=float)
+        return self.apply_rows(x) if x.ndim == 1 else self.apply_rows(x.T).T
+
+    def __rmatmul__(self, x):
+        return (self.T @ np.asarray(x, dtype=float).T).T
+
+    def __add__(self, other) -> BandedOperator:
+        if not isinstance(other, BandedOperator):
+            other = BandedOperator.from_dense(other)
+        return BandedOperator(self.lower + other.lower, self.diag + other.diag,
+                              self.upper + other.upper, self.corners + other.corners)
+
+    def __mul__(self, scalar) -> BandedOperator:
+        return BandedOperator(scalar * self.lower, scalar * self.diag, scalar * self.upper,
+                              scalar * self.corners)
+
+    __rmul__ = __mul__
+
+
 @dataclass
 class GalerkinSystem:
-    """Assembled operators of the semi-discrete system, as sparse arrays.
+    """Assembled operators of the semi-discrete system, as ``BandedOperator``s.
 
     C_mat = lam*M + D and K_mat = A + K*M + B are cached because every time
     step uses them.
@@ -124,13 +247,13 @@ class GalerkinSystem:
 
     mesh: Mesh
     p: ProblemParams
-    M: csr_array
-    S: csr_array
-    A: csr_array
-    D: csr_array
-    B: csr_array
-    C_mat: csr_array = field(repr=False, default=None)
-    K_mat: csr_array = field(repr=False, default=None)
+    M: BandedOperator
+    S: BandedOperator
+    A: BandedOperator
+    D: BandedOperator
+    B: BandedOperator
+    C_mat: BandedOperator = field(repr=False, default=None)
+    K_mat: BandedOperator = field(repr=False, default=None)
     quad_x: np.ndarray = field(repr=False, default=None)
 
     @property
@@ -151,18 +274,18 @@ def assemble(mesh: Mesh, p: ProblemParams) -> GalerkinSystem:
         raise MeshError("mesh is not uniform")
 
     h = mesh.h
-    # Element e couples nodes e and e+1; COO sums the duplicate entries.
-    e = np.arange(n - 1)
-    rows = np.concatenate([e, e, e + 1, e + 1])
-    cols = np.concatenate([e, e + 1, e, e + 1])
 
     def elements(diag, off):
-        values = np.repeat([diag, off, off, diag], n - 1)
-        return coo_array((values, (rows, cols)), shape=(n, n)).tocsr()
+        # node i sums the diagonal entry of each of its one or two elements
+        diagonal = np.full(n, 2.0 * diag)
+        diagonal[[0, -1]] = diag
+        return BandedOperator(np.full(n - 1, off), diagonal, np.full(n - 1, off))
 
     def corners(c00, c0m, cmm, cm0):
-        return coo_array(([c00, c0m, cmm, cm0], ([0, 0, n - 1, n - 1], [0, n - 1, n - 1, 0])),
-                         shape=(n, n)).tocsr()
+        diagonal = np.zeros(n)
+        diagonal[0] += c00
+        diagonal[-1] += cmm
+        return BandedOperator(np.zeros(n - 1), diagonal, np.zeros(n - 1), (c0m, cm0))
 
     M = elements(h / 3.0, h / 6.0)
     S = elements(1.0 / h, -1.0 / h)
@@ -199,11 +322,18 @@ def time_blocks(sys: GalerkinSystem, n_times: int) -> list[slice]:
     return [slice(start, min(start + size, n_times)) for start in range(0, n_times, size)]
 
 
-def _quad_values(f: Callable, quad_x: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _quad_values(sys: GalerkinSystem, f: Callable, t: np.ndarray) -> np.ndarray:
     """f at the Gauss points for every time in the 1-d array t: shape
-    t.shape + quad_x.shape."""
-    vals = np.asarray(f(quad_x, t[:, None, None]), dtype=float)
-    shape = t.shape + quad_x.shape
+    t.shape + quad_x.shape.  A ``Separable`` f sums theta_i(t) times the
+    values of s_i kept per system, the same products in the same order as
+    its plain call."""
+    if isinstance(f, Separable):
+        terms = [_on_times(theta, t)[:, None, None] * values
+                 for (theta, _), values in zip(f.terms, _space_factors(sys, f)[0])]
+        vals = sum(terms[1:], terms[0])
+    else:
+        vals = np.asarray(f(sys.quad_x, t[:, None, None]), dtype=float)
+    shape = t.shape + sys.quad_x.shape
     return vals if vals.shape == shape else np.broadcast_to(vals, shape)
 
 
@@ -229,18 +359,20 @@ def _add_hat_loads(F: np.ndarray, sys: GalerkinSystem, values: np.ndarray) -> No
     F[..., 1:] += scaled @ _SHAPE_RIGHT
 
 
-def _projections(sys: GalerkinSystem, f: Separable) -> list[np.ndarray]:
-    """<s_i, w_j> for each space factor s_i of f, one vector of length m per
-    term, kept on f for the last system it was used with."""
-    quad_x, projections = f._projected
+def _space_factors(sys: GalerkinSystem, f: Separable) -> tuple[list, list]:
+    """The values of each space factor s_i of f at the Gauss points, and its
+    projection <s_i, w_j>, one vector of length m per term; both kept on f
+    for the last system they were made for."""
+    quad_x, values, projections = f._projected
     if quad_x is not sys.quad_x:
+        values = [np.broadcast_to(s(sys.quad_x), sys.quad_x.shape) for _, s in f.terms]
         projections = []
-        for _, s in f.terms:
+        for v in values:
             load = np.zeros(sys.m)
-            _add_hat_loads(load, sys, np.broadcast_to(s(sys.quad_x), sys.quad_x.shape))
+            _add_hat_loads(load, sys, v)
             projections.append(load)
-        f._projected = (sys.quad_x, projections)
-    return projections
+        f._projected = (sys.quad_x, values, projections)
+    return values, projections
 
 
 def load_vector(sys: GalerkinSystem, forcing: Forcing, t) -> np.ndarray:
@@ -261,10 +393,10 @@ def load_vector(sys: GalerkinSystem, forcing: Forcing, t) -> np.ndarray:
     if forcing.g1 is not None:
         F[:, -1] -= _boundary_values(forcing.g1, t)
     if isinstance(forcing.f, Separable):
-        for (theta, _), load in zip(forcing.f.terms, _projections(sys, forcing.f)):
+        for (theta, _), load in zip(forcing.f.terms, _space_factors(sys, forcing.f)[1]):
             F += _on_times(theta, t)[:, None] * load
     elif forcing.f is not None:
-        _add_hat_loads(F, sys, _quad_values(forcing.f, sys.quad_x, t))
+        _add_hat_loads(F, sys, _quad_values(sys, forcing.f, t))
     return F
 
 
@@ -273,15 +405,16 @@ def sigma_forcing(forcing: Forcing, sys: GalerkinSystem, t):
 
     ``t`` is one time, giving a float, or a 1-d array of times, giving one
     value per time; ||f(t)||^2 is the Gauss quadrature over blocks of times
-    (``time_blocks``).  The boundary values are squared as Python floats, so
-    an overflow raises OverflowError instead of giving inf.
+    (``time_blocks``), for a ``Separable`` f from its space factors' Gauss
+    values made once per system.  The boundary values are squared as Python
+    floats, so an overflow raises OverflowError instead of giving inf.
     """
     t = np.asarray(t, dtype=float)
     times = np.atleast_1d(t)
     total = np.zeros(len(times))
     if forcing.f is not None:
         for b in time_blocks(sys, len(times)):
-            fe = _quad_values(forcing.f, sys.quad_x, times[b])
+            fe = _quad_values(sys, forcing.f, times[b])
             total[b] = (0.5 * sys.mesh.h) * np.sum(fe**2 @ _GAUSS_W, axis=-1)
     for g in (forcing.g0, forcing.g1):
         if g is not None:
@@ -301,25 +434,16 @@ def _check_dim(sys: GalerkinSystem, c: np.ndarray) -> np.ndarray:
     return c
 
 
-def apply_rows(Q, c: np.ndarray) -> np.ndarray:
-    """Q x for every vector x along the last axis of ``c``."""
-    return (Q @ c.reshape(-1, c.shape[-1]).T).T.reshape(c.shape)
-
-
-def _quadratic_form(Q, c: np.ndarray):
-    return np.einsum("...i,...i->...", apply_rows(Q, c), c)
-
-
 def norm_1_sq(sys: GalerkinSystem, c: np.ndarray):
     """Squared boundary-anchored H1 norm: v(0)^2 + ||v_x||^2."""
     c = _check_dim(sys, c)
-    return c[..., 0] ** 2 + _quadratic_form(sys.S, c)
+    return c[..., 0] ** 2 + sys.S.form(c)
 
 
 def norm_a_sq(sys: GalerkinSystem, c: np.ndarray):
     """Squared energy norm of the boundary-augmented bilinear form."""
     c = _check_dim(sys, c)
-    return _quadratic_form(sys.A, c)
+    return sys.A.form(c)
 
 
 def sup_norm(sys: GalerkinSystem, c: np.ndarray):

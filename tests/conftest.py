@@ -17,7 +17,6 @@ from twopointwave import (
     record_trajectory,
     uniform_mesh,
 )
-from twopointwave.galerkin import apply_rows
 
 # The shipped reference scenario; its constants are REFERENCE below.
 REFERENCE_CFG = Path(__file__).resolve().parent.parent / "configs" / "reference.cfg"
@@ -41,7 +40,7 @@ def boundary_integral(sys, traj, records):
     """X minus the state norms v'Mv + u(0)^2 + c'Sc: the running integral
     of |u'(0,s)|^2 + |u'(1,s)|^2 that X adds to them."""
     V = traj.velocities
-    norms = np.einsum("ni,ni->n", apply_rows(sys.M, V), V) + norm_1_sq(sys, traj.coeffs)
+    norms = sys.M.form(V) + norm_1_sq(sys, traj.coeffs)
     return records.X - norms
 
 

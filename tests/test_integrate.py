@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.sparse import csc_array
 from scipy.sparse.linalg import splu
 
 import twopointwave
@@ -28,7 +27,8 @@ from twopointwave import (
 )
 from conftest import boundary_integral
 from twopointwave.errors import DimensionError, SingularMatrixError
-from twopointwave.galerkin import BLOCK_VALUES, error_norms, load_vector, time_blocks
+from twopointwave.galerkin import (BLOCK_VALUES, BandedOperator, error_norms, load_vector,
+                                   time_blocks)
 from twopointwave.integrate import DENSE_MAX_DIM, MidpointStepper
 
 P = ProblemParams(h0=1.0, h1=0.5, lam0=1.0, lam1=1.0, ht0=0.01, ht1=0.01,
@@ -38,12 +38,12 @@ P = ProblemParams(h0=1.0, h1=0.5, lam0=1.0, lam1=1.0, ht0=0.01, ht1=0.01,
 def scalar_system(mass, stiffness, damping=0.0):
     """Hand-built one-dimensional diagnostic config (bypasses assembly)."""
     mesh = uniform_mesh(2)
-    M = np.array([[mass]])
-    A = np.array([[stiffness]])
-    Z = np.zeros((1, 1))
+    M = BandedOperator.from_dense([[mass]])
+    A = BandedOperator.from_dense([[stiffness]])
+    Z = BandedOperator.from_dense([[0.0]])
     return GalerkinSystem(
-        mesh=mesh, p=P, M=M, S=A.copy(), A=A, D=Z.copy(), B=Z.copy(),
-        C_mat=np.array([[damping]]), K_mat=A.copy(),
+        mesh=mesh, p=P, M=M, S=A, A=A, D=Z, B=Z,
+        C_mat=BandedOperator.from_dense([[damping]]), K_mat=A,
         quad_x=np.zeros((1, 3)),
     )
 
@@ -145,6 +145,17 @@ class TestStep:
         sys.K_mat = np.array([[-4.0 / dt**2]])
         with pytest.raises(SingularMatrixError):
             MidpointStepper(sys, dt)
+
+    @pytest.mark.parametrize("mass, singular", [(1e-15, True), (1e-13, False)])
+    def test_near_singular_iteration_matrix_reported(self, mass, singular):
+        # the pivot rule: a pivot at most 1e-14 * max(largest pivot, 1) is
+        # refused; here the iteration matrix is the mass alone
+        sys = scalar_system(mass, 0.0)
+        if singular:
+            with pytest.raises(SingularMatrixError):
+                MidpointStepper(sys, 0.1)
+        else:
+            MidpointStepper(sys, 0.1)
 
 
 class TestIntegrate:
@@ -379,7 +390,7 @@ class TestDenseAndSparsePaths:
     def plain_loop(sys, forcing, c, v, times, dt):
         """The midpoint rule as two sparse products and one SuperLU solve of
         the iteration matrix per step."""
-        lu = splu(csc_array(sys.M + 0.5 * dt * sys.C_mat + 0.25 * dt * dt * sys.K_mat))
+        lu = splu((sys.M + 0.5 * dt * sys.C_mat + 0.25 * dt * dt * sys.K_mat).tocsc())
         cs, vs = [c], [v]
         for t in times[:-1]:
             load = load_vector(sys, forcing, t + 0.5 * dt)
@@ -491,11 +502,62 @@ def test_homogeneous_run_never_pumps_lyapunov(ref_run, ref_dc):
     assert np.max(np.diff(E)) <= 1e-8 * E[0]
 
 
-def test_package_import_does_not_load_scipy_integrate():
-    # the oracle imports it on first use; at import time it would add about
-    # 0.2 s to every command-line call
+def _scipy_imports(args, cwd):
+    """The scipy modules a fresh interpreter imports while running ``args``
+    (``python -X importtime`` lists every module it imports on stderr)."""
     src = Path(twopointwave.__file__).resolve().parents[1]
-    code = "import sys, twopointwave; print('scipy.integrate' in sys.modules)"
+    result = subprocess.run([system.executable, "-X", "importtime", *args], capture_output=True,
+                            text=True, cwd=cwd, env={**os.environ, "PYTHONPATH": str(src)})
+    assert result.returncode == 0, result.stdout + result.stderr
+    names = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()
+             if line.startswith("import time:")}
+    return {name for name in names if name == "scipy" or name.startswith("scipy.")}
+
+
+def test_package_import_does_not_load_scipy_integrate(tmp_path):
+    # nothing on the dense path (m <= DENSE_MAX_DIM) imports scipy: at import
+    # time it would add 0.3-0.5 s to every command-line call.  Only the oracle
+    # check imports it, scipy.integrate and what that imports.
+    assert _scipy_imports(["-c", "import twopointwave"], tmp_path) == set()
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    for name in ("reference", "conservation_control", "manufactured_cosine"):
+        assert _scipy_imports(["-m", "twopointwave", "run", str(configs / f"{name}.cfg"),
+                               "--outdir", str(tmp_path / name)], tmp_path) == set(), name
+    oracle = _scipy_imports(["-m", "twopointwave", "run", str(configs / "oracle_tiny.cfg"),
+                             "--outdir", str(tmp_path / "oracle_tiny")], tmp_path)
+    assert "scipy.integrate" in oracle
+    assert oracle <= _scipy_imports(["-c", "import scipy.integrate"], tmp_path)
+    without_oracle = tmp_path / "oracle_tiny_unchecked.cfg"
+    without_oracle.write_text((configs / "oracle_tiny.cfg").read_text()
+                              .replace("checks = oracle", "checks = sandwich"))
+    assert _scipy_imports(["-m", "twopointwave", "run", str(without_oracle),
+                           "--outdir", str(tmp_path / "unchecked")], tmp_path) == set()
+
+
+def test_sparse_path_imports_scipy_when_it_steps():
+    # above DENSE_MAX_DIM the stepper imports SuperLU on first use, and the
+    # run matches a plain sparse midpoint loop
+    src = Path(twopointwave.__file__).resolve().parents[1]
+    code = """if True:
+        import sys
+        import numpy as np
+        import twopointwave as tw
+        assert not any(name.startswith("scipy") for name in sys.modules)
+        p = tw.ProblemParams(h0=1.0, h1=0.5, lam0=1.0, lam1=1.0, ht0=0.01, ht1=0.01,
+                             lt0=0.1, lt1=0.1, K=1.0, lam=1.0)
+        sys_ = tw.assemble(tw.uniform_mesh(129), p)
+        c0 = np.cos(np.pi * sys_.mesh.nodes)
+        traj = tw.integrate(sys_, tw.Forcing(), c0, np.zeros(129), T=0.02, dt=1e-3)
+        assert "scipy.sparse.linalg" in sys.modules
+        from scipy.sparse.linalg import splu
+        dt = 1e-3
+        lu = splu((sys_.M + 0.5 * dt * sys_.C_mat + 0.25 * dt * dt * sys_.K_mat).tocsc())
+        c, v = c0, np.zeros(129)
+        for _ in range(20):
+            vm = lu.solve(sys_.M @ v - 0.5 * dt * (sys_.K_mat @ c))
+            c, v = c + dt * vm, 2.0 * vm - v
+        print(np.max(np.abs(traj.coeffs[-1] - c)) / np.max(np.abs(c)))
+    """
     result = subprocess.run([system.executable, "-c", code], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-    assert result.stdout.strip() == "False"
+    assert float(result.stdout) <= 1e-13
