@@ -115,11 +115,10 @@ def smooth_data_from_manufactured(ms: ManufacturedSolution, r: int) -> SmoothDat
 
 
 def _centered_time_derivative(C: np.ndarray, dt: float, r: int) -> np.ndarray:
+    """The r-th centered time difference for r = 1 or 2, which ``ladder_check`` enforces."""
     if r == 1:
         return (C[2:] - C[:-2]) / (2.0 * dt)
-    if r == 2:
-        return (C[2:] - 2.0 * C[1:-1] + C[:-2]) / (dt * dt)
-    raise ValueError(f"ladder order must be 1 or 2, got {r}")
+    return (C[2:] - 2.0 * C[1:-1] + C[:-2]) / (dt * dt)
 
 
 def ladder_check(

@@ -33,8 +33,7 @@ from .errors import (
     InsufficientDataError,
     TooFewSamplesError,
 )
-from .galerkin import (Forcing, GalerkinSystem, norm_1_sq, norm_a_sq, sigma_forcing,
-                       time_blocks)
+from .galerkin import Forcing, GalerkinSystem, norm_1_sq, norm_a_sq, sigma_forcing
 from .integrate import Trajectory
 from .params import DerivedConstants, ProblemParams
 
@@ -104,19 +103,15 @@ def _functionals(sys: GalerkinSystem, p: ProblemParams, C: np.ndarray, V: np.nda
     """E, psi and ||u'||^2 + ||u||_1^2 of each state row (C[n], V[n]).
 
     Each of the five forms v'Mv, c'Ac, c'Mc, v'Mc and c'Sc is evaluated once
-    per row from the operators' bands (``BandedOperator.form``), one
-    ``time_blocks`` block of rows at a time; c'Ac and u(0)^2 + c'Sc are the
+    over all rows from the operators' bands (``BandedOperator.form``); every
+    temporary holds one value per row.  c'Ac and u(0)^2 + c'Sc are the
     package's ``norm_a_sq`` and ``norm_1_sq``.
     """
-    E, psi_, norms = np.empty(len(C)), np.empty(len(C)), np.empty(len(C))
-    for b in time_blocks(sys, len(C)):
-        c, v = C[b], V[b]
-        vMv, cMc = sys.M.form(v), sys.M.form(c)
-        E[b] = 0.5 * vMv + 0.5 * norm_a_sq(sys, c) + 0.5 * p.K * cMc
-        psi_[b] = (sys.M.form(v, c) + 0.5 * p.lam * cMc
-                   + 0.5 * p.lam0 * c[:, 0]**2 + 0.5 * p.lam1 * c[:, -1]**2)
-        norms[b] = vMv + norm_1_sq(sys, c)
-    return E, psi_, norms
+    vMv, cMc = sys.M.form(V), sys.M.form(C)
+    E = 0.5 * vMv + 0.5 * norm_a_sq(sys, C) + 0.5 * p.K * cMc
+    psi_ = (sys.M.form(V, C) + 0.5 * p.lam * cMc
+            + 0.5 * p.lam0 * C[:, 0]**2 + 0.5 * p.lam1 * C[:, -1]**2)
+    return E, psi_, vMv + norm_1_sq(sys, C)
 
 
 def _one_state(sys: GalerkinSystem, p: ProblemParams, c, v) -> tuple[float, float]:

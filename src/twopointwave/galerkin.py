@@ -19,7 +19,7 @@ and S are tridiagonal, summed from the 2x2 element matrices, and the boundary
 terms A - S, D and B live only on the four corners (0, 0), (0, m-1),
 (m-1, m-1) and (m-1, 0).  Corners are added, never assigned: at two nodes
 (0, 1) and (1, 0) are also the off-diagonals of M and S.  Nothing here
-imports scipy; ``tocsr``/``tocsc`` load ``scipy.sparse`` when called.
+imports scipy; ``tocsr`` loads ``scipy.sparse`` when called.
 """
 
 from __future__ import annotations
@@ -122,13 +122,12 @@ class BandedOperator:
     (entry (0, m-1), entry (m-1, 0)).  For m <= 2 the corners are band
     entries too, and an entry is the sum of its band and corner values.
 
-    It gives the products the package uses (``@`` on a vector or an (m, k)
-    block, ``apply_rows`` along the last axis of a stack of vectors, and
-    ``form``), sums and scalar multiples, ``toarray`` and ``diagonal``;
-    ``tocsr``/``tocsc`` import ``scipy.sparse`` only when called.
+    It gives what the package uses: ``form``, sums of two operators, scalar
+    multiples, ``toarray`` and ``tocsr``, which imports ``scipy.sparse`` only
+    when called.
     """
 
-    # numpy operands defer to the methods below instead of broadcasting
+    # a numpy scalar on the left defers to __rmul__ instead of broadcasting
     __array_ufunc__ = None
 
     def __init__(self, lower, diag, upper, corners=(0.0, 0.0)):
@@ -137,35 +136,9 @@ class BandedOperator:
         self.upper = np.array(upper, dtype=float)
         self.corners = np.array(corners, dtype=float)
 
-    @classmethod
-    def from_dense(cls, a) -> BandedOperator:
-        """The operator of the square array ``a``; raises DimensionError if
-        ``a`` has a nonzero entry outside the bands and corners."""
-        a = np.asarray(a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-        m = len(a)
-        corners = (a[0, m - 1], a[m - 1, 0]) if m > 2 else (0.0, 0.0)
-        op = cls(a.diagonal(-1), a.diagonal(), a.diagonal(1), corners)
-        if not np.array_equal(op.toarray(), a):
-            raise DimensionError("matrix has entries outside the bands and corners")
-        return op
-
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.diag), len(self.diag))
-
-    @property
-    def nnz(self) -> int:
-        """Number of stored entries."""
-        return self.diag.size + self.lower.size + self.upper.size + self.corners.size
-
-    @property
-    def T(self) -> BandedOperator:
-        return BandedOperator(self.upper, self.diag, self.lower, self.corners[::-1])
-
-    def diagonal(self) -> np.ndarray:
-        return self.diag.copy()
 
     def toarray(self) -> np.ndarray:
         m = len(self.diag)
@@ -188,19 +161,6 @@ class BandedOperator:
         kept = values != 0.0  # stored zeros would only be multiplied
         return coo_array((values[kept], (rows[kept], cols[kept])), shape=self.shape).tocsr()
 
-    def tocsc(self):
-        return self.tocsr().tocsc()
-
-    def apply_rows(self, x: np.ndarray) -> np.ndarray:
-        """Q x for every vector x along the last axis of ``x``."""
-        y = self.diag * x
-        y[..., :-1] += self.upper * x[..., 1:]
-        y[..., 1:] += self.lower * x[..., :-1]
-        if self.corners.any():
-            y[..., 0] += self.corners[0] * x[..., -1]
-            y[..., -1] += self.corners[1] * x[..., 0]
-        return y
-
     def form(self, x: np.ndarray, y: np.ndarray | None = None):
         """x^T Q y for each pair of vectors along the last axis of x and y,
         evaluated from the bands; y = x gives the quadratic form."""
@@ -217,16 +177,7 @@ class BandedOperator:
             out += self.corners[0] * x[..., 0] * y[..., -1] + self.corners[1] * x[..., -1] * y[..., 0]
         return out
 
-    def __matmul__(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.apply_rows(x) if x.ndim == 1 else self.apply_rows(x.T).T
-
-    def __rmatmul__(self, x):
-        return (self.T @ np.asarray(x, dtype=float).T).T
-
-    def __add__(self, other) -> BandedOperator:
-        if not isinstance(other, BandedOperator):
-            other = BandedOperator.from_dense(other)
+    def __add__(self, other: BandedOperator) -> BandedOperator:
         return BandedOperator(self.lower + other.lower, self.diag + other.diag,
                               self.upper + other.upper, self.corners + other.corners)
 
@@ -252,9 +203,9 @@ class GalerkinSystem:
     A: BandedOperator
     D: BandedOperator
     B: BandedOperator
-    C_mat: BandedOperator = field(repr=False, default=None)
-    K_mat: BandedOperator = field(repr=False, default=None)
-    quad_x: np.ndarray = field(repr=False, default=None)
+    C_mat: BandedOperator = field(repr=False)
+    K_mat: BandedOperator = field(repr=False)
+    quad_x: np.ndarray = field(repr=False)
 
     @property
     def m(self) -> int:
@@ -304,15 +255,6 @@ def assemble(mesh: Mesh, p: ProblemParams) -> GalerkinSystem:
 # Gauss-point values of f per block of times in the batched quadrature:
 # bounds each temporary to 256 KB, whatever the number of times.
 BLOCK_VALUES = 32768
-# Runs integrated together, at most: bounds the trajectories a sweep holds at
-# once.  The gain below was measured on the sparse step, where the runs are
-# the columns of one stacked state and share each product and solve: per
-# column and step (2 cores, one BLAS thread), 4 columns took 5.4 us at n=33
-# and 10.5 us at n=257, against 14.4 and 22.4 us for one, and 8 columns took
-# longer than 4 at n=257.  On the dense step (integrate.DENSE_MAX_DIM) each
-# run steps on its own, and a batch shares only the factorisation and the
-# blocks of load evaluation.
-MAX_COLUMNS = 4
 
 
 def time_blocks(sys: GalerkinSystem, n_times: int) -> list[slice]:

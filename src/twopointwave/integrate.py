@@ -63,7 +63,7 @@ def project_initial_data(mesh: Mesh, u0, u1) -> tuple[np.ndarray, np.ndarray]:
 
 
 # Systems with at most this many unknowns step with the dense propagator: the
-# largest measured m at which no number of runs up to galerkin.MAX_COLUMNS
+# largest measured m at which no number of runs up to scenario.MAX_COLUMNS
 # stepped more than 5% slower on it than on the sparse step.  Per step of
 # integrate_columns for k runs with boundary_exp forcing, in us, sparse /
 # dense (m = n nodes; 2 cores, one BLAS thread, median of 3 runs of best of
@@ -158,7 +158,7 @@ class MidpointStepper:
             from scipy.sparse.linalg import splu
 
             try:
-                self._lu = splu(iteration_matrix.tocsc())
+                self._lu = splu(iteration_matrix.tocsr().tocsc())
             except RuntimeError as exc:  # an exactly singular matrix
                 raise SingularMatrixError(dt, str(exc)) from exc
             _require_regular(dt, np.abs(self._lu.U.diagonal()))

@@ -53,7 +53,7 @@ from .diagnostics import (
 )
 from .errors import (ConfigError, DomainError, InfeasibleError, InsufficientDataError,
                      SingularMatrixError)
-from .galerkin import MAX_COLUMNS, Forcing, assemble, error_norms, uniform_mesh
+from .galerkin import Forcing, assemble, error_norms, uniform_mesh
 from .integrate import (ORACLE_MAX_DIM, _resolve_steps, integrate, integrate_columns,
                         oracle_integrate, project_initial_data)
 from .manufactured import FORM_NAMES, manufacture
@@ -551,6 +551,17 @@ def converge_scenario(config_path, levels: int, outdir=None) -> int:
               f"{r.l2_order:9.3f} {r.h1_order:9.3f}")
     print(f"artifacts in {out}")
     return 0
+
+
+# Runs integrated together, at most: bounds the trajectories a sweep holds at
+# once.  The gain below was measured on the sparse step, where the runs are
+# the columns of one stacked state and share each product and solve: per
+# column and step (2 cores, one BLAS thread), 4 columns took 5.4 us at n=33
+# and 10.5 us at n=257, against 14.4 and 22.4 us for one, and 8 columns took
+# longer than 4 at n=257.  On the dense step (integrate.DENSE_MAX_DIM) each
+# run steps on its own, and a batch shares only the factorisation and the
+# blocks of load evaluation.
+MAX_COLUMNS = 4
 
 
 @_exit_code

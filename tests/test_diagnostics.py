@@ -90,8 +90,8 @@ class TestFunctionals:
         for _ in range(300):
             c = 5.0 * rng.standard_normal(9)
             v = 5.0 * rng.standard_normal(9)
-            kinetic = float(v @ sys.M @ v)
-            bound = 0.5 * kinetic + factor * float(c @ sys.A @ c)
+            kinetic = float(v @ sys.M.toarray() @ v)
+            bound = 0.5 * kinetic + factor * float(c @ sys.A.toarray() @ c)
             assert abs(psi(sys, p, c, v)) <= bound + 1e-12
 
     def test_lyapunov_sandwich_per_state(self):
@@ -183,7 +183,7 @@ class TestRecordTrajectory:
             v = traj.velocities[n]
             c = traj.coeffs[n]
             integral = sum(0.5 * 1e-3 * (v_end_sq[k] + v_end_sq[k + 1]) for k in range(n))
-            expected = float(v @ ref_system.M @ v) + norm_1_sq(ref_system, c) + integral
+            expected = float(v @ ref_system.M.toarray() @ v) + norm_1_sq(ref_system, c) + integral
             assert records.X[n] == pytest.approx(expected, rel=1e-12)
             assert read_back[n] == pytest.approx(integral, rel=1e-12, abs=1e-15)
         # X controls the energy once the K-term is routed through the
@@ -201,17 +201,18 @@ class TestRecordTrajectory:
         traj, records = ref_run
         assert isinstance(records, EnergyRecords)
         assert len(records) == traj.n_samples
-        M, A = ref_system.M, ref_system.A
+        np.testing.assert_array_equal(records.t, traj.times)
+        # every row is the scalar functional of its state, bit for bit
+        for n, (c, v) in enumerate(zip(traj.coeffs, traj.velocities)):
+            assert records.E[n] == energy(ref_system, ref_params, c, v)
+            assert records.psi[n] == psi(ref_system, ref_params, c, v)
+            assert records.Gamma[n] == lyapunov(ref_system, ref_params, ref_dc, c, v)
+        # the energy written out with dense matrices, independent of the package
+        M, A = ref_system.M.toarray(), ref_system.A.toarray()
         for n in (0, 1, 2500, 5000, 10_000):
             c, v = traj.coeffs[n], traj.velocities[n]
-            assert records.t[n] == traj.times[n]
-            # the functionals written out directly, independent of the package
             E = 0.5 * v @ M @ v + 0.5 * c @ A @ c + 0.5 * ref_params.K * (c @ M @ c)
             assert records.E[n] == pytest.approx(E, rel=1e-13)
-            assert records.E[n] == pytest.approx(energy(ref_system, ref_params, c, v), rel=1e-13)
-            assert records.psi[n] == pytest.approx(psi(ref_system, ref_params, c, v), rel=1e-13)
-            assert records.Gamma[n] == pytest.approx(
-                lyapunov(ref_system, ref_params, ref_dc, c, v), rel=1e-13)
 
     def test_energy_csv_round_trip_is_bit_exact(self, ref_run, tmp_path):
         traj, records = ref_run

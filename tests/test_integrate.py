@@ -37,15 +37,9 @@ P = ProblemParams(h0=1.0, h1=0.5, lam0=1.0, lam1=1.0, ht0=0.01, ht1=0.01,
 
 def scalar_system(mass, stiffness, damping=0.0):
     """Hand-built one-dimensional diagnostic config (bypasses assembly)."""
-    mesh = uniform_mesh(2)
-    M = BandedOperator.from_dense([[mass]])
-    A = BandedOperator.from_dense([[stiffness]])
-    Z = BandedOperator.from_dense([[0.0]])
-    return GalerkinSystem(
-        mesh=mesh, p=P, M=M, S=A, A=A, D=Z, B=Z,
-        C_mat=BandedOperator.from_dense([[damping]]), K_mat=A,
-        quad_x=np.zeros((1, 3)),
-    )
+    M, A, Z, C = (BandedOperator([], [value], []) for value in (mass, stiffness, 0.0, damping))
+    return GalerkinSystem(mesh=uniform_mesh(2), p=P, M=M, S=A, A=A, D=Z, B=Z, C_mat=C, K_mat=A,
+                          quad_x=np.zeros((1, 3)))
 
 
 class TestProjectInitialData:
@@ -141,8 +135,7 @@ class TestStep:
     def test_singular_iteration_matrix_reported(self):
         # M + dt^2/4 * K_mat = 0 when K_mat = -4/dt^2 * M
         dt = 0.1
-        sys = scalar_system(1.0, 1.0)
-        sys.K_mat = np.array([[-4.0 / dt**2]])
+        sys = scalar_system(1.0, -4.0 / dt**2)
         with pytest.raises(SingularMatrixError):
             MidpointStepper(sys, dt)
 
@@ -390,11 +383,12 @@ class TestDenseAndSparsePaths:
     def plain_loop(sys, forcing, c, v, times, dt):
         """The midpoint rule as two sparse products and one SuperLU solve of
         the iteration matrix per step."""
-        lu = splu((sys.M + 0.5 * dt * sys.C_mat + 0.25 * dt * dt * sys.K_mat).tocsc())
+        lu = splu((sys.M + 0.5 * dt * sys.C_mat + 0.25 * dt * dt * sys.K_mat).tocsr().tocsc())
+        M, K = sys.M.tocsr(), sys.K_mat.tocsr()
         cs, vs = [c], [v]
         for t in times[:-1]:
             load = load_vector(sys, forcing, t + 0.5 * dt)
-            vm = lu.solve(sys.M @ v + 0.5 * dt * (load - sys.K_mat @ c))
+            vm = lu.solve(M @ v + 0.5 * dt * (load - K @ c))
             c, v = c + dt * vm, 2.0 * vm - v
             cs.append(c)
             vs.append(v)
@@ -551,10 +545,11 @@ def test_sparse_path_imports_scipy_when_it_steps():
         assert "scipy.sparse.linalg" in sys.modules
         from scipy.sparse.linalg import splu
         dt = 1e-3
-        lu = splu((sys_.M + 0.5 * dt * sys_.C_mat + 0.25 * dt * dt * sys_.K_mat).tocsc())
+        lu = splu((sys_.M + 0.5 * dt * sys_.C_mat + 0.25 * dt * dt * sys_.K_mat).tocsr().tocsc())
+        M, K = sys_.M.tocsr(), sys_.K_mat.tocsr()
         c, v = c0, np.zeros(129)
         for _ in range(20):
-            vm = lu.solve(sys_.M @ v - 0.5 * dt * (sys_.K_mat @ c))
+            vm = lu.solve(M @ v - 0.5 * dt * (K @ c))
             c, v = c + dt * vm, 2.0 * vm - v
         print(np.max(np.abs(traj.coeffs[-1] - c)) / np.max(np.abs(c)))
     """

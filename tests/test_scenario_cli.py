@@ -27,8 +27,7 @@ from twopointwave import (
 from twopointwave.cli import main
 from twopointwave.errors import ConfigError
 from twopointwave import scenario
-from twopointwave.galerkin import MAX_COLUMNS
-from twopointwave.scenario import convergence_study, sweep_scenario
+from twopointwave.scenario import MAX_COLUMNS, convergence_study, sweep_scenario
 
 SMALL_RUN = """\
 h0 = 1.0
