@@ -3,20 +3,24 @@
 The production scheme is the implicit midpoint rule: A-stable, second order,
 and it conserves the quadratic energy exactly in the undamped limit, which
 gives a free correctness probe.  A system with at most ``DENSE_MAX_DIM``
-unknowns steps with its dense one-step propagator, built with numpy alone,
-one matrix-vector product per state and step; a larger one with one sparse
-product and one SuperLU solve, and only that path imports ``scipy.sparse``.
-Runs that share the system and the step advance together
-(``integrate_columns``; ``integrate`` is its one-column case): on the sparse
-side as the columns of one stacked state, so that k runs take one product and
-one solve per step instead of k.  scipy's DOP853 at tight tolerances, at tiny
-dimension, serves as an independent oracle.
+unknowns steps with its dense one-step propagator P, built with numpy alone:
+a forced run takes one matrix-vector product per step, and an unforced run
+advances BLOCK_STEPS steps at a time by the increments P^j - I, one
+matrix-vector product per block and one matrix product per BLOCK_ANCHORS
+blocks.  A larger system steps with one sparse product and one SuperLU solve,
+and only that path imports ``scipy.sparse``.  Runs that share the system and
+the step advance together (``integrate_columns``; ``integrate`` is its
+one-column case): on the sparse side as the columns of one stacked state, so
+that k runs take one product and one solve per step instead of k.  scipy's
+DOP853 at tight tolerances, at tiny dimension, serves as an independent
+oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -80,6 +84,30 @@ def project_initial_data(mesh: Mesh, u0, u1) -> tuple[np.ndarray, np.ndarray]:
 #     257   21.6 / 70.0   56.0 / 270.1   57.1 / 341.4
 DENSE_MAX_DIM = 73
 
+# An unforced run on the dense path advances BLOCK_STEPS steps at a time from
+# anchor states and fills in the states between BLOCK_ANCHORS anchors with one
+# matrix product (MidpointStepper.propagate).  integrate of the reference
+# problem (10^4 unforced steps), in ms, and distance from a long-double loop
+# of the same map over its first 2000 steps, relative to the largest value,
+# by BLOCK_STEPS / BLOCK_ANCHORS (2 cores, one BLAS thread, best of 7; one
+# advance per step took 20.6 / 29.5 / 45.5 / 51.5 ms):
+#
+#       n      4/32           8/32           16/32          32/32
+#       2    5.3 5.5e-16   3.3 3.9e-16   1.9 2.2e-16   1.3 2.3e-16
+#      33    9.3 3.9e-14   6.5 2.4e-14   6.2 3.1e-14   5.8 2.5e-14
+#      65   19.7 2.2e-13  17.7 1.3e-13  16.6 7.8e-14  17.8 1.3e-13
+#      73   23.7 2.2e-13  20.9 1.4e-13  19.3 1.0e-13  20.8 1.1e-13
+#
+# At 16 steps, 16 / 32 / 64 anchors took 20.2 / 16.6 / 15.6 ms at n=65.  The
+# block increments hold (2m)^2 * (BLOCK_STEPS - 1) doubles, 2.0 MB at n=65;
+# the chunk products write into the trajectory itself.
+BLOCK_STEPS = 16
+BLOCK_ANCHORS = 32
+
+
+def _unforced(forcing: Forcing) -> bool:
+    return forcing.f is None and forcing.g0 is None and forcing.g1 is None
+
 
 def _lu_pivots(a: np.ndarray) -> np.ndarray:
     """|U_ii| of the LU factorisation with partial pivoting of the square
@@ -124,7 +152,9 @@ class MidpointStepper:
       with D = P - I: one matrix-vector product per step.  z is one state;
       the load term is skipped when the load is zero.  numpy builds it all:
       a partial-pivot LU gives the pivots, and one ``np.linalg.solve`` gives
-      D's blocks and J^-1, which maps each load to its w.
+      D's blocks and J^-1, which maps each load to its w.  ``propagate``
+      fills in a whole unforced run by blocks of BLOCK_STEPS steps, from the
+      increments D_j = P^j - I, which the stepper builds on first use.
     - otherwise each step is one sparse product R z and one SuperLU solve,
       whose U gives the pivots; this path imports ``scipy.sparse``.  z may
       also be a (2m, k) block of k states as columns, advanced by the same
@@ -199,6 +229,58 @@ class MidpointStepper:
         np.subtract(2.0 * vm, v, out=v)
         c += self.dt * vm
 
+    @cached_property
+    def _block_increments(self):
+        """D_B and, for the v and the c half of the state, the (2m, (B-1)*m)
+        arrays whose column block j-1 is that half of D_j transposed, where
+        D_j = P^j - I and B = BLOCK_STEPS.  Built once, from
+        D_{j+1} = D_j + D (I + D_j), never from the powers P^j themselves."""
+        m, D = self.sys.m, self._D
+        G = np.empty((2, 2 * m, BLOCK_STEPS - 1, m))
+        D_j, identity = D, np.eye(2 * m)
+        for j in range(BLOCK_STEPS - 1):
+            G[0, :, j], G[1, :, j] = D_j[:m].T, D_j[m:].T
+            D_j = D_j + D @ (identity + D_j)
+        G = G.reshape(2, 2 * m, -1)
+        return D_j, G[0], G[1]
+
+    def propagate(self, V: np.ndarray, C: np.ndarray) -> None:
+        """Fill rows 1.. of V and C, the velocities and coefficients of one
+        unforced run on the dense side (row 0 holds its start), with the
+        states one step apart: z_n = P^n z_0.
+
+        The anchors a_k = z_{kB} (B = BLOCK_STEPS) follow from
+        a_{k+1} = a_k + D_B a_k, one matrix-vector product per block, and
+        the states in between, z_{kB+j} = a_k + D_j a_k, from one matrix
+        product per BLOCK_ANCHORS anchors, written straight into V and C.
+        The steps after the last anchor, fewer than B, are ``advance``
+        steps; a restart from an anchor therefore repeats the run bit for
+        bit, one from another state to roundoff."""
+        m, B = self.sys.m, BLOCK_STEPS
+        blocks = (len(V) - 1) // B
+        anchors = np.empty((BLOCK_ANCHORS + 1, 2 * m))
+        anchors[0, :m], anchors[0, m:] = V[0], C[0]
+        for start in range(0, blocks, BLOCK_ANCHORS):
+            D_B, G_v, G_c = self._block_increments
+            count = min(BLOCK_ANCHORS, blocks - start)
+            for a, a_next in zip(anchors[:count], anchors[1:count + 1]):
+                np.matmul(D_B, a, out=a_next)
+                a_next += a
+            # rows kB .. kB+B-1 of anchor k as one row of B*m values: the
+            # anchor, then the B-1 states after it
+            for rows, G, half in ((V, G_v, slice(None, m)), (C, G_c, slice(m, None))):
+                chunk = rows[start * B:(start + count) * B].reshape(count, B * m)
+                np.matmul(anchors[:count], G, out=chunk[:, m:])
+                chunk = chunk.reshape(count, B, m)
+                chunk[:, 1:] += anchors[:count, None, half]
+                chunk[:, 0] = anchors[:count, half]
+            anchors[0] = anchors[count]
+        z = anchors[0].copy()
+        V[blocks * B], C[blocks * B] = z[:m], z[m:]
+        for n in range(blocks * B + 1, len(V)):
+            self.advance(z, None)
+            V[n], C[n] = z[:m], z[m:]
+
 
 def _resolve_steps(T: float, dt: float) -> int:
     if T <= 0 or dt <= 0:
@@ -244,20 +326,23 @@ def integrate_columns(
     """Advance k runs of one system with one step dt over [0, T]: run j
     starts from (c0s[j], v0s[j]) and is forced by forcings[j].
 
-    Every step is a ``MidpointStepper.advance``, the same update as
-    ``MidpointStepper.step``.  On the dense side (m <= DENSE_MAX_DIM) each run
+    On the dense side (m <= DENSE_MAX_DIM) a run whose forcing has no f, g0
+    or g1 is filled in by ``MidpointStepper.propagate``, by blocks of
+    BLOCK_STEPS steps; it agrees with a loop of ``MidpointStepper.step`` to
+    roundoff.  Every other step is a ``MidpointStepper.advance``, the same
+    update as ``MidpointStepper.step``.  On the dense side each forced run
     steps as its own 1-d state: one (2m, k) product would differ from k
     matrix-vector products in the last bits.  On the sparse side the runs are
     the k columns of one stacked state Z = (V; C) of shape (2m, k), one
     product and one solve per step; one run steps as a 1-d state, which costs
     less per step than a (2m, 1) block.  Either way each column is updated on
     its own, so run j equals run j integrated alone, bit for bit, and an inf
-    or NaN in one column leaves the others alone.  The midpoint loads come
-    from one ``load_vector`` call per run and block of steps (``time_blocks``),
-    and ``MidpointStepper.forcing_terms`` turns each run's block into its
-    step terms.  The states are stored in one (k, N+1, m) array of
-    coefficients and one of velocities, and the trajectory of run j views
-    their slices j.
+    or NaN in one column leaves the others alone.  The midpoint loads of the
+    stepped runs come from one ``load_vector`` call per run and block of
+    steps (``time_blocks``), none when no run steps, and
+    ``MidpointStepper.forcing_terms`` turns each run's block into its step
+    terms.  The states are stored in one (k, N+1, m) array of coefficients
+    and one of velocities, and the trajectory of run j views their slices j.
     """
     k = len(forcings)
     if k == 0 or len(c0s) != k or len(v0s) != k:
@@ -274,16 +359,20 @@ def integrate_columns(
     for j, (c0, v0, _) in enumerate(starts):
         CS[j, 0], VS[j, 0] = c0, v0
     stepper = MidpointStepper(sys, dt)
-    Z = np.concatenate([VS[:, 0].T, CS[:, 0].T])
+    free = [j for j, f in enumerate(forcings) if stepper.dense and _unforced(f)]
+    forced = [j for j in range(k) if j not in free]
+    for j in free:
+        stepper.propagate(VS[j], CS[j])
+    Z = np.concatenate([VS[forced, 0].T, CS[forced, 0].T])
     # (state, its rows of VS and CS, its columns of the loads); row n of the
     # rows is sample n of the state's runs, shaped like its v and c
-    if stepper.dense or k == 1:
-        lanes = [(Z[:, j].copy(), VS[j], CS[j], j) for j in range(k)]
+    if stepper.dense or len(forced) == 1:
+        lanes = [(Z[:, i].copy(), VS[j], CS[j], i) for i, j in enumerate(forced)]
     else:
         lanes = [(Z, VS.transpose(1, 2, 0), CS.transpose(1, 2, 0), slice(None))]
-    for block in time_blocks(sys, len(times) - 1):
+    for block in time_blocks(sys, len(times) - 1) if lanes else ():
         t = times[block] + 0.5 * dt
-        loads = np.stack([load_vector(sys, f, t) for f in forcings], axis=-1)
+        loads = np.stack([load_vector(sys, forcings[j], t) for j in forced], axis=-1)
         loads *= 0.5 * dt
         for state, V_rows, C_rows, cols in lanes:
             v, c = state[:m], state[m:]
@@ -319,7 +408,7 @@ def oracle_integrate(
     M = sys.M.toarray()
     G = np.block([[np.zeros((m, m)), np.eye(m)],
                   [-np.linalg.solve(M, np.hstack([sys.K_mat.toarray(), sys.C_mat.toarray()]))]])
-    homogeneous = forcing.f is None and forcing.g0 is None and forcing.g1 is None
+    homogeneous = _unforced(forcing)
 
     def rhs(t, z):
         dz = G @ z

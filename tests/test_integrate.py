@@ -1,3 +1,4 @@
+import importlib
 import math
 import os
 import subprocess
@@ -29,7 +30,7 @@ from conftest import boundary_integral
 from twopointwave.errors import DimensionError, SingularMatrixError
 from twopointwave.galerkin import (BLOCK_VALUES, BandedOperator, error_norms, load_vector,
                                    time_blocks)
-from twopointwave.integrate import DENSE_MAX_DIM, MidpointStepper
+from twopointwave.integrate import BLOCK_ANCHORS, BLOCK_STEPS, DENSE_MAX_DIM, MidpointStepper
 
 P = ProblemParams(h0=1.0, h1=0.5, lam0=1.0, lam1=1.0, ht0=0.01, ht1=0.01,
                   lt0=0.1, lt1=0.1, K=1.0, lam=1.0)
@@ -195,17 +196,28 @@ class TestIntegrate:
         records = record_trajectory(full, sys, P, None)
         acc = boundary_integral(sys, full, records)
         assert np.all(np.diff(acc) >= -1e-300)
-        # restart at the midpoint: homogeneous forcing makes the states
-        # bitwise identical, whatever time the restart counts from, so the
-        # running integrals split up to the summation order (1e-15) and one
-        # rounding of X in each of the three integrals read back from it
+        # restart at the midpoint (sample 100) and on the block grid before it
+        # (sample 96): an unforced run advances by blocks of BLOCK_STEPS steps
+        # from its start, whatever time it counts from, so a restart on that
+        # grid reproduces the final state bit for bit, and one off it to
+        # roundoff: 4.7e-15 of the final state's largest value measured at
+        # sample 100, at most 6.2e-15 over restarts at samples 81 to 120.
+        # Either way the running integrals split up to the summation order
+        # (1e-15) and one rounding of X in each of the three integrals read
+        # back from it
         mid = full.n_samples // 2
-        second = integrate(sys, Forcing(), full.coeffs[mid], full.velocities[mid],
-                           T=1.0, dt=1e-2)
-        np.testing.assert_array_equal(second.coeffs[-1], full.coeffs[-1])
-        acc_second = boundary_integral(sys, second, record_trajectory(second, sys, P, None))
-        np.testing.assert_allclose(acc[mid] + acc_second[-1], acc[-1], rtol=0,
-                                   atol=1e-15 + 3 * np.spacing(records.X.max()))
+        for start in (mid, mid // BLOCK_STEPS * BLOCK_STEPS):
+            second = integrate(sys, Forcing(), full.coeffs[start], full.velocities[start],
+                               T=(full.n_samples - 1 - start) * 1e-2, dt=1e-2)
+            for got, want in ((second.coeffs[-1], full.coeffs[-1]),
+                              (second.velocities[-1], full.velocities[-1])):
+                if start % BLOCK_STEPS == 0:
+                    np.testing.assert_array_equal(got, want)
+                else:
+                    assert np.max(np.abs(got - want)) <= 2e-14 * np.max(np.abs(want))
+            acc_second = boundary_integral(sys, second, record_trajectory(second, sys, P, None))
+            np.testing.assert_allclose(acc[start] + acc_second[-1], acc[-1], rtol=0,
+                                       atol=1e-15 + 3 * np.spacing(records.X.max()))
 
     def test_nodal_error_is_second_order_in_dt(self):
         # the affine exact solution lives in the trial space, so the only
@@ -270,6 +282,25 @@ class TestBatchedForcing:
         assert len(calls) == math.ceil(50 / per_block) < 50
         assert calls[0] == (per_block, 1, 1)
 
+    @pytest.mark.parametrize("n", [9, DENSE_MAX_DIM + 1])
+    def test_unforced_runs_on_the_dense_path_evaluate_no_loads(self, n, monkeypatch):
+        module = importlib.import_module("twopointwave.integrate")
+        forcings = []
+
+        def counting(sys, forcing, t):
+            forcings.append(forcing)
+            return load_vector(sys, forcing, t)
+
+        monkeypatch.setattr(module, "load_vector", counting)
+        sys = assemble(uniform_mesh(n), P)
+        c0, v0 = np.cos(np.pi * sys.mesh.nodes), np.zeros(n)
+        unforced, forced = Forcing(), _boundary_exp(1.0, 1.0)
+        for runs, dense_calls in (([unforced, unforced], set()), ([unforced, forced], {id(forced)})):
+            forcings.clear()
+            integrate_columns(sys, runs, [c0, -c0], [v0, v0], self.T, self.DT)
+            want = dense_calls if n <= DENSE_MAX_DIM else set(map(id, runs))
+            assert set(map(id, forcings)) == want
+
     @pytest.mark.parametrize("caller", ["load_vector", "stepper", "oracle", "integrate"])
     def test_f_only_sees_blocks_of_times(self, caller):
         # one time reaches f as a block of one, shape (1, 1, 1), never a scalar
@@ -321,12 +352,19 @@ class TestColumns:
                 ms = manufacture("decaying_cosine", P, alpha)
                 out.append((ms.forcing(), *project_initial_data(sys.mesh, ms.u0, ms.u1)))
             return out
+        if kind == "mixed":  # unforced runs next to forced ones
+            ms = manufacture("decaying_cosine", P, 1.0)
+            return [(Forcing(), np.cos(np.pi * nodes), np.zeros(sys.m)),
+                    (_boundary_exp(1.0, 1.0), 1.0 + nodes, np.zeros(sys.m)),
+                    (Forcing(), np.zeros(sys.m), np.sin(np.pi * nodes)),
+                    (ms.forcing(), *project_initial_data(sys.mesh, ms.u0, ms.u1))]
         # different initial data, one forcing
         return [(_boundary_exp(1.0, 1.0), c0, v0) for c0, v0 in (
             (np.cos(np.pi * nodes), np.zeros(sys.m)), (1.0 + nodes, np.zeros(sys.m)),
             (np.zeros(sys.m), np.sin(np.pi * nodes)), (nodes**2, -nodes))]
 
-    @pytest.mark.parametrize("kind", ["unforced", "boundary_exp", "manufactured", "initial_data"])
+    @pytest.mark.parametrize("kind", ["unforced", "boundary_exp", "manufactured", "initial_data",
+                                      "mixed"])
     @pytest.mark.parametrize("n", [2, 33, 65])
     def test_columns_equal_separate_runs(self, kind, n):
         sys = assemble(uniform_mesh(n), P)
@@ -341,9 +379,8 @@ class TestColumns:
                 np.testing.assert_array_equal(traj.coeffs, ref.coeffs)
                 np.testing.assert_array_equal(traj.velocities, ref.velocities)
 
-    def test_a_non_finite_column_leaves_the_others_alone(self):
-        sys = assemble(uniform_mesh(17), P)
-        runs = self.runs("boundary_exp", sys)[:3]
+    def assert_one_non_finite_column(self, sys, runs):
+        """Run 1 starts with an inf; the others must equal their runs alone."""
         bad = runs[1][1].copy()
         bad[-1] = math.inf
         runs[1] = (runs[1][0], bad, runs[1][2])
@@ -355,6 +392,17 @@ class TestColumns:
             ref = integrate(sys, *runs[j], self.T, self.DT)
             np.testing.assert_array_equal(trajs[j].coeffs, ref.coeffs)
             np.testing.assert_array_equal(trajs[j].velocities, ref.velocities)
+
+    def test_a_non_finite_column_leaves_the_others_alone(self):
+        sys = assemble(uniform_mesh(17), P)
+        self.assert_one_non_finite_column(sys, self.runs("boundary_exp", sys)[:3])
+
+    def test_a_non_finite_unforced_column_leaves_the_others_alone(self):
+        # unforced columns on the dense path advance by blocks of steps, a
+        # forced one step by step
+        sys = assemble(uniform_mesh(17), P)
+        runs = self.runs("unforced", sys)[:2] + self.runs("boundary_exp", sys)[2:3]
+        self.assert_one_non_finite_column(sys, runs)
 
     @pytest.mark.parametrize("lengths", [(2, 1, 2), (2, 2, 1), (1, 2, 2), (0, 0, 0)])
     def test_mismatched_lengths_rejected(self, lengths):
@@ -410,6 +458,98 @@ class TestDenseAndSparsePaths:
             for traj in (column, integrate(sys, forcing, c0, v0, T, self.DT)):
                 for got, want in ((traj.coeffs, want_c), (traj.velocities, want_v)):
                     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _long_double_loop(D, z, steps):
+    """z_{n+1} = z_n + D z_n in long double, from the float64 D and z."""
+    D, z = D.astype(np.longdouble), z.astype(np.longdouble)
+    out = [z]
+    for _ in range(steps):
+        z = z + D @ z
+        out.append(z)
+    return np.array(out)
+
+
+def _plain_power_increments(stepper):
+    """What MidpointStepper._block_increments holds, built from the powers
+    P^j = P P^(j-1) instead: fl(P^j) - I in place of D_j."""
+    m = stepper.sys.m
+    P = np.eye(2 * m) + stepper._D
+    G = np.empty((2, 2 * m, BLOCK_STEPS - 1, m))
+    power = P
+    for j in range(BLOCK_STEPS - 1):
+        D_j = power - np.eye(2 * m)
+        G[0, :, j], G[1, :, j] = D_j[:m].T, D_j[m:].T
+        power = P @ power
+    G = G.reshape(2, 2 * m, -1)
+    return power - np.eye(2 * m), G[0], G[1]
+
+
+class TestUnforcedBlocks:
+    """An unforced run on the dense path advances by blocks of BLOCK_STEPS
+    steps from anchor states, with the increments D_j = P^j - I of the
+    propagator P (MidpointStepper.propagate); it must stay as accurate as
+    stepping, and agree with a loop of MidpointStepper.step to roundoff."""
+
+    DT = 1e-3
+
+    @staticmethod
+    def start(sys):
+        nodes = sys.mesh.nodes
+        return np.cos(np.pi * nodes), np.sin(np.pi * nodes) - nodes
+
+    @pytest.mark.parametrize("steps", [
+        BLOCK_STEPS - 3, BLOCK_STEPS, 3 * BLOCK_STEPS + 1, 5 * BLOCK_STEPS + 7,
+        (BLOCK_ANCHORS + 2) * BLOCK_STEPS + 5], ids=["short", "one_block", "blocks_plus_one",
+                                                      "ragged_tail", "two_chunks"])
+    @pytest.mark.parametrize("n", [2, 33, 65, DENSE_MAX_DIM])
+    def test_equals_a_loop_of_step(self, n, steps):
+        sys = assemble(uniform_mesh(n), P)
+        c0, v0 = self.start(sys)
+        traj = integrate(sys, Forcing(), c0, v0, steps * self.DT, self.DT)
+        stepper = MidpointStepper(sys, self.DT)
+        c, v = c0, v0
+        cs, vs = [c], [v]
+        for k in range(steps):
+            c, v = stepper.step(Forcing(), c, v, traj.times[k])
+            cs.append(c.copy())
+            vs.append(v.copy())
+        for got, want in ((traj.coeffs, np.array(cs)), (traj.velocities, np.array(vs))):
+            if steps < BLOCK_STEPS:  # no block: every state is an advance step
+                np.testing.assert_array_equal(got, want)
+            else:  # measured at most 2.8e-13 (n=73), 1.5e-13 at n=65
+                assert np.max(np.abs(got - want)) <= 5e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [2, 33, 65, DENSE_MAX_DIM])
+    def test_as_accurate_as_stepping(self, n):
+        # distance from a long-double loop of the same float64 P, relative to
+        # the largest value, over 2000 steps: measured for stepping / the
+        # increments / the plain powers P^j 7.2e-16 / 4.0e-16 / 1.2e-14 at
+        # n=2, 2.6e-14 / 4.3e-14 / 1.6e-13 at n=33, 1.2e-13 / 1.0e-13 /
+        # 4.4e-13 at n=65, 1.3e-13 / 1.2e-13 / 5.2e-13 at n=73
+        sys = assemble(uniform_mesh(n), P)
+        steps, m = 2000, sys.m
+        stepper = MidpointStepper(sys, self.DT)
+        c0, v0 = self.start(sys)
+        z = np.concatenate([v0, c0])
+        want = _long_double_loop(stepper._D, z, steps)
+        scale = np.max(np.abs(want))
+
+        def distance(states):
+            return float(np.max(np.abs(states - want)) / scale)
+
+        stepped = [z.copy()]
+        for _ in range(steps):
+            stepper.advance(z, None)
+            stepped.append(z.copy())
+        bound = 2.5 * distance(np.array(stepped)) + 1e-15
+        for plain_powers in (False, True):
+            if plain_powers:
+                stepper.__dict__["_block_increments"] = _plain_power_increments(stepper)
+            V, C = np.empty((steps + 1, m)), np.empty((steps + 1, m))
+            V[0], C[0] = v0, c0
+            stepper.propagate(V, C)
+            assert (distance(np.hstack([V, C])) <= bound) != plain_powers
 
 
 class TestOracle:

@@ -557,6 +557,20 @@ class TestCli:
         assert "PASS" not in printed and "FAIL" not in printed
         assert not (out / "energy.csv").exists()
 
+    def test_non_finite_unforced_state_exits_4(self, tmp_path, capfd):
+        # u0 = amplitude * (1 + x) overflows to inf at x = 1 in an unforced
+        # run on the dense path, which advances by blocks of steps
+        text = REFERENCE_CFG.read_text().replace("initial_data = cosine", "initial_data = affine")
+        text = text.replace("initial_amplitude = 1.0", "initial_amplitude = 1.7e308")
+        config = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        assert main(["run", str(config), "--outdir", str(out)]) == 4
+        printed = capfd.readouterr()
+        assert printed.out.splitlines() == [
+            "solver error: non-finite state: 1300061 inf/NaN values in the trajectory"]
+        assert printed.err == ""
+        assert not out.exists()
+
     def test_converge_with_non_finite_errors_exits_4(self, tmp_path, capsys):
         # the exact solution exp(900 t) cos(pi x) overflows before T = 1
         config = write_config(tmp_path, MMS_BASE + "alpha = -900\n")
