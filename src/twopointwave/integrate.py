@@ -3,17 +3,18 @@
 The production scheme is the implicit midpoint rule: A-stable, second order,
 and it conserves the quadratic energy exactly in the undamped limit, which
 gives a free correctness probe.  A system with at most ``DENSE_MAX_DIM``
-unknowns steps with its dense one-step propagator P, built with numpy alone:
-a forced run takes one matrix-vector product per step, and an unforced run
-advances BLOCK_STEPS steps at a time by the increments P^j - I, one
-matrix-vector product per block and one matrix product per BLOCK_ANCHORS
-blocks.  A larger system steps with one sparse product and one SuperLU solve,
-and only that path imports ``scipy.sparse``.  Runs that share the system and
-the step advance together (``integrate_columns``; ``integrate`` is its
-one-column case): on the sparse side as the columns of one stacked state, so
-that k runs take one product and one solve per step instead of k.  At tiny
-dimension the exact flow of the first-order form, from the exponential of its
-generator by scaling and squaring in numpy, serves as an independent oracle.
+unknowns steps with its dense one-step propagator P, built with numpy alone,
+and every run, forced or not, advances BLOCK_STEPS steps at a time: all
+blocks of the run take their j-th step in one matrix product, and the state
+at each block's start follows from the previous one by one matrix-vector
+product with P^BLOCK_STEPS - I.  A larger system steps with one sparse
+product and one SuperLU solve, and only that path imports ``scipy.sparse``.
+Runs that share the system and the step advance together
+(``integrate_columns``; ``integrate`` is its one-column case): on the sparse
+side as the columns of one stacked state, so that k runs take one product
+and one solve per step instead of k.  At tiny dimension the exact flow of
+the first-order form, from the exponential of its generator by scaling and
+squaring in numpy, serves as an independent oracle.
 """
 
 from __future__ import annotations
@@ -68,41 +69,37 @@ def project_initial_data(mesh: Mesh, u0, u1) -> tuple[np.ndarray, np.ndarray]:
 
 # Systems with at most this many unknowns step with the dense propagator: the
 # largest measured m at which no number of runs up to scenario.MAX_COLUMNS
-# stepped more than 5% slower on it than on the sparse step.  Per step of
-# integrate_columns for k runs with boundary_exp forcing, in us, sparse /
-# dense (m = n nodes; 2 cores, one BLAS thread, median of 3 runs of best of
-# 7; BENCH_19.json also holds the unforced runs and the construction costs):
+# stepped more than 5% slower on it than on the sparse step, when forced runs
+# on it took one matrix-vector product per step (BENCH_19.json).  Per step of
+# integrate_columns for k runs with boundary_exp forcing, by blocks, in us,
+# sparse / dense (m = n nodes; T = 5, dt = 1e-3; 2 cores, one BLAS thread,
+# median of 3 runs of best of 5), the same rule now puts it between 81 and
+# 129.  It stays 73: no benchmark workload runs an m in 74..128.
 #
 #       n     k = 1         k = 3          k = 4
-#       2   15.7 /  3.9   20.7 /  10.6   21.6 /  19.6
-#       9   13.6 /  3.8   20.4 /  12.0   21.8 /  14.9
-#      33   15.6 /  4.9   22.1 /  14.5   25.3 /  19.9
-#      65   17.2 /  7.9   24.7 /  20.8   29.9 /  30.5
-#      73                                29.2 /  30.4
-#      81                                29.1 /  36.4
-#     129   18.2 / 16.0   31.4 /  44.7   36.6 /  66.1
-#     257   21.6 / 70.0   56.0 / 270.1   57.1 / 341.4
+#       2   10.9 /  0.5   14.1 /   1.6   14.2 /   2.1
+#       9   10.4 /  0.8   14.2 /   2.3   15.4 /   3.3
+#      33   13.1 /  2.4   18.1 /   5.5   18.8 /   7.0
+#      65   14.2 /  3.8   20.6 /  11.0   21.1 /  14.6
+#      73   13.1 /  4.6   20.1 /  12.9   21.5 /  16.3
+#      81   13.5 /  5.2   20.0 /  15.2   21.9 /  19.4
+#     129   15.1 / 12.5   24.1 /  32.4   26.6 /  40.5
+#     257   18.0 / 51.8   32.6 / 110.7   34.9 / 131.0
 DENSE_MAX_DIM = 73
 
-# An unforced run on the dense path advances BLOCK_STEPS steps at a time from
-# anchor states and fills in the states between BLOCK_ANCHORS anchors with one
-# matrix product (MidpointStepper.propagate).  integrate of the reference
-# problem (10^4 unforced steps), in ms, and distance from a long-double loop
-# of the same map over its first 2000 steps, relative to the largest value,
-# by BLOCK_STEPS / BLOCK_ANCHORS (2 cores, one BLAS thread, best of 7; one
-# advance per step took 20.6 / 29.5 / 45.5 / 51.5 ms):
+# A run on the dense path advances by blocks of BLOCK_STEPS steps.  integrate
+# of the reference problem (10^4 steps), in ms, unforced and boundary_exp, and
+# the distance of the unforced blocks from a long-double loop of the same map
+# over 2000 steps, relative to the largest value, by BLOCK_STEPS (2 cores, one
+# BLAS thread, best of 7; an unforced advance per step took 20.6 / 29.5 /
+# 45.5 / 51.5 ms):
 #
-#       n      4/32           8/32           16/32          32/32
-#       2    5.3 5.5e-16   3.3 3.9e-16   1.9 2.2e-16   1.3 2.3e-16
-#      33    9.3 3.9e-14   6.5 2.4e-14   6.2 3.1e-14   5.8 2.5e-14
-#      65   19.7 2.2e-13  17.7 1.3e-13  16.6 7.8e-14  17.8 1.3e-13
-#      73   23.7 2.2e-13  20.9 1.4e-13  19.3 1.0e-13  20.8 1.1e-13
-#
-# At 16 steps, 16 / 32 / 64 anchors took 20.2 / 16.6 / 15.6 ms at n=65.  The
-# block increments hold (2m)^2 * (BLOCK_STEPS - 1) doubles, 2.0 MB at n=65;
-# the chunk products write into the trajectory itself.
+#       n        4                8                16               32
+#       2    3.9  8.1 3.1e-16   2.1  5.8 7.6e-16   1.3  4.7 5.8e-16   0.9  4.5 5.0e-16
+#      33   12.0 25.4 3.6e-14   8.4 20.1 3.0e-14   5.7 17.3 4.3e-14   6.0 16.7 2.5e-14
+#      65   23.5 49.3 2.4e-13  20.2 43.3 1.4e-13  16.4 40.9 1.0e-13  17.2 42.3 1.3e-13
+#      73   28.9 62.5 2.1e-13  22.4 52.9 1.5e-13  17.7 46.2 1.2e-13  20.4 45.9 1.2e-13
 BLOCK_STEPS = 16
-BLOCK_ANCHORS = 32
 
 
 def _unforced(forcing: Forcing) -> bool:
@@ -148,13 +145,11 @@ class MidpointStepper:
     - m <= DENSE_MAX_DIM (``dense``): with Q = [Q_v | Q_c] = J^-1 R, the
       step is z <- P z + (2w; dt*w), where P = [[2 Q_v - I, 2 Q_c],
       [dt Q_v, I + dt Q_c]] is the dense one-step propagator and
-      w = J^-1 (dt/2*F(t+dt/2)).  It is applied as z <- z + (D z + (2w; dt*w))
-      with D = P - I: one matrix-vector product per step.  z is one state;
-      the load term is skipped when the load is zero.  numpy builds it all:
-      a partial-pivot LU gives the pivots, and one ``np.linalg.solve`` gives
-      D's blocks and J^-1, which maps each load to its w.  ``propagate``
-      fills in a whole unforced run by blocks of BLOCK_STEPS steps, from the
-      increments D_j = P^j - I, which the stepper builds on first use.
+      w = J^-1 (dt/2*F(t+dt/2)), applied as z <- z + (D z + (2w; dt*w)) with
+      D = P - I.  numpy builds it all: a partial-pivot LU gives the pivots,
+      and one ``np.linalg.solve`` gives D's blocks and J^-1, which maps each
+      load to its w.  ``propagate`` fills in a whole run by blocks, with D
+      and D_B = P^BLOCK_STEPS - I, built on first use.
     - otherwise each step is one sparse product R z and one SuperLU solve,
       whose U gives the pivots; this path imports ``scipy.sparse``.  z may
       also be a (2m, k) block of k states as columns, advanced by the same
@@ -200,28 +195,23 @@ class MidpointStepper:
         self.advance(z, self.forcing_terms(load[None])[0])
         return z[self.sys.m:], z[:self.sys.m]
 
-    def forcing_terms(self, half_dt_loads: np.ndarray):
-        """What ``advance`` adds at each step of a block, given dt/2 times the
-        midpoint loads F(t + dt/2), one row per step (shape (steps, m), or
+    def forcing_terms(self, half_dt_loads: np.ndarray) -> np.ndarray:
+        """What ``advance`` takes at each step of a block, given dt/2 times
+        the midpoint loads F(t + dt/2), one row per step (shape (steps, m), or
         (steps, m, k) for a block of k states): on the sparse side the loads;
-        on the dense side the rows (2w; dt*w), w = J^-1 times each row, one
-        matrix-vector product per row (so a row's w does not depend on the
-        block it is in), or None per step when every load of the block is
-        zero."""
+        on the dense side w = J^-1 times each row, one matrix-vector product
+        per row, so that a row's w does not depend on the block it is in."""
         if not self.dense:
             return half_dt_loads
-        if not half_dt_loads.any():
-            return [None] * len(half_dt_loads)
-        w = np.matmul(self._inverse, half_dt_loads[..., None])[..., 0]
-        return np.concatenate([2.0 * w, self.dt * w], axis=1)
+        return np.matmul(self._inverse, half_dt_loads[..., None])[..., 0]
 
     def advance(self, z: np.ndarray, term) -> None:
         """Overwrite the stacked state z = (v, c) with the state one step on;
-        ``term`` is the step's row of ``forcing_terms``."""
+        ``term`` is the step's row of ``forcing_terms``, or None (dense side
+        only) for a step without load."""
         if self.dense:
             np.matmul(self._D, z, out=self._change)
-            if term is not None:
-                self._change += term
+            self._add_load(self._change, term)
             z += self._change
             return
         vm = self._lu.solve(self._R @ z + term)
@@ -229,56 +219,62 @@ class MidpointStepper:
         np.subtract(2.0 * vm, v, out=v)
         c += self.dt * vm
 
+    def _add_load(self, change: np.ndarray, w) -> None:
+        """Add (2w; dt*w) to the last axis of the dense step's changes, unless w is None."""
+        if w is not None:
+            m = self.sys.m
+            change[..., :m] += 2.0 * w
+            change[..., m:] += self.dt * w
+
     @cached_property
-    def _block_increments(self):
-        """D_B and, for the v and the c half of the state, the (2m, (B-1)*m)
-        arrays whose column block j-1 is that half of D_j transposed, where
-        D_j = P^j - I and B = BLOCK_STEPS.  Built once, from
-        D_{j+1} = D_j + D (I + D_j), never from the powers P^j themselves."""
-        m, D = self.sys.m, self._D
-        G = np.empty((2, 2 * m, BLOCK_STEPS - 1, m))
-        D_j, identity = D, np.eye(2 * m)
-        for j in range(BLOCK_STEPS - 1):
-            G[0, :, j], G[1, :, j] = D_j[:m].T, D_j[m:].T
-            D_j = D_j + D @ (identity + D_j)
-        G = G.reshape(2, 2 * m, -1)
-        return D_j, G[0], G[1]
+    def _D_B(self) -> np.ndarray:
+        """D_B = P^B - I with B = BLOCK_STEPS, built once from
+        D_{j+1} = D_j + D (I + D_j), never from the power P^B itself."""
+        D = D_j = self._D
+        for _ in range(BLOCK_STEPS - 1):
+            D_j = D_j + D @ (np.eye(len(D)) + D_j)
+        return D_j
 
-    def propagate(self, V: np.ndarray, C: np.ndarray) -> None:
+    def propagate(self, V: np.ndarray, C: np.ndarray, terms: np.ndarray | None = None) -> None:
         """Fill rows 1.. of V and C, the velocities and coefficients of one
-        unforced run on the dense side (row 0 holds its start), with the
-        states one step apart: z_n = P^n z_0.
-
-        The anchors a_k = z_{kB} (B = BLOCK_STEPS) follow from
-        a_{k+1} = a_k + D_B a_k, one matrix-vector product per block, and
-        the states in between, z_{kB+j} = a_k + D_j a_k, from one matrix
-        product per BLOCK_ANCHORS anchors, written straight into V and C.
-        The steps after the last anchor, fewer than B, are ``advance``
-        steps; a restart from an anchor therefore repeats the run bit for
-        bit, one from another state to roundoff."""
+        run on the dense side (row 0 holds its start), with the states one
+        step apart; row n of ``terms`` is step n's w (``forcing_terms``), and
+        None means no load.  With B = BLOCK_STEPS, block k runs from the anchor
+        a_k = z_{kB} to a_{k+1}.  All blocks take their j-th step in one
+        matrix product (in lockstep) to find y_k, the state block k reaches
+        from zero under its loads (B products, none without load); then
+        a_{k+1} = a_k + D_B a_k + y_k, one matrix-vector product per block;
+        then every block steps from its anchor in lockstep (B - 1 products,
+        written straight into V and C).  The steps after the last anchor,
+        fewer than B, are ``advance`` steps: a run of fewer than B steps
+        equals a loop of ``step`` bit for bit, and a restart of an unforced
+        run from an anchor repeats it bit for bit."""
         m, B = self.sys.m, BLOCK_STEPS
         blocks = (len(V) - 1) // B
-        anchors = np.empty((BLOCK_ANCHORS + 1, 2 * m))
+        anchors = np.empty((blocks + 1, 2 * m))
         anchors[0, :m], anchors[0, m:] = V[0], C[0]
-        for start in range(0, blocks, BLOCK_ANCHORS):
-            D_B, G_v, G_c = self._block_increments
-            count = min(BLOCK_ANCHORS, blocks - start)
-            for a, a_next in zip(anchors[:count], anchors[1:count + 1]):
-                np.matmul(D_B, a, out=a_next)
-                a_next += a
-            # rows kB .. kB+B-1 of anchor k as one row of B*m values: the
-            # anchor, then the B-1 states after it
-            for rows, G, half in ((V, G_v, slice(None, m)), (C, G_c, slice(m, None))):
-                chunk = rows[start * B:(start + count) * B].reshape(count, B * m)
-                np.matmul(anchors[:count], G, out=chunk[:, m:])
-                chunk = chunk.reshape(count, B, m)
-                chunk[:, 1:] += anchors[:count, None, half]
-                chunk[:, 0] = anchors[:count, half]
-            anchors[0] = anchors[count]
-        z = anchors[0].copy()
-        V[blocks * B], C[blocks * B] = z[:m], z[m:]
+        # row k is block k's state: first y_k, then the states from a_k
+        Z, change = np.zeros((blocks, 2 * m)), np.empty((blocks, 2 * m))
+
+        def lockstep(j):  # step j of every block
+            np.matmul(Z, self._D.T, out=change)
+            self._add_load(change, None if terms is None else terms[j:blocks * B:B])
+            np.add(Z, change, out=Z)
+
+        for j in range(0 if terms is None else B):
+            lockstep(j)
+        for a, a_next, y in zip(anchors, anchors[1:], Z):
+            np.matmul(self._D_B, a, out=a_next)
+            a_next += y
+            a_next += a
+        Z[:] = anchors[:blocks]
+        for j in range(1, B):
+            lockstep(j - 1)
+            V[j:blocks * B:B], C[j:blocks * B:B] = Z[:, :m], Z[:, m:]
+        V[:blocks * B + 1:B], C[:blocks * B + 1:B] = anchors[:, :m], anchors[:, m:]
+        z = anchors[blocks].copy()
         for n in range(blocks * B + 1, len(V)):
-            self.advance(z, None)
+            self.advance(z, None if terms is None else terms[n - 1])
             V[n], C[n] = z[:m], z[m:]
 
 
@@ -326,23 +322,21 @@ def integrate_columns(
     """Advance k runs of one system with one step dt over [0, T]: run j
     starts from (c0s[j], v0s[j]) and is forced by forcings[j].
 
-    On the dense side (m <= DENSE_MAX_DIM) a run whose forcing has no f, g0
-    or g1 is filled in by ``MidpointStepper.propagate``, by blocks of
-    BLOCK_STEPS steps; it agrees with a loop of ``MidpointStepper.step`` to
-    roundoff.  Every other step is a ``MidpointStepper.advance``, the same
-    update as ``MidpointStepper.step``.  On the dense side each forced run
-    steps as its own 1-d state: one (2m, k) product would differ from k
-    matrix-vector products in the last bits.  On the sparse side the runs are
-    the k columns of one stacked state Z = (V; C) of shape (2m, k), one
-    product and one solve per step; one run steps as a 1-d state, which costs
-    less per step than a (2m, 1) block.  Either way each column is updated on
-    its own, so run j equals run j integrated alone, bit for bit, and an inf
-    or NaN in one column leaves the others alone.  The midpoint loads of the
-    stepped runs come from one ``load_vector`` call per run and block of
-    steps (``time_blocks``), none when no run steps, and
-    ``MidpointStepper.forcing_terms`` turns each run's block into its step
-    terms.  The states are stored in one (k, N+1, m) array of coefficients
-    and one of velocities, and the trajectory of run j views their slices j.
+    On the dense side (m <= DENSE_MAX_DIM) each run is one
+    ``MidpointStepper.propagate``, by blocks of BLOCK_STEPS steps, which
+    agrees with a loop of ``MidpointStepper.step`` to roundoff; a forced run
+    first gets its rows of w (``MidpointStepper.forcing_terms``), and a run
+    whose forcing has no f, g0 or g1 evaluates no load.  On the sparse side
+    the runs are the k columns of one stacked state Z = (V; C) of shape
+    (2m, k), and each step one ``MidpointStepper.advance``, the update of
+    ``MidpointStepper.step``: one product and one solve; one run steps as a
+    1-d state, which costs less per step than a (2m, 1) block.  The loads
+    come from one ``load_vector`` call per run and block of steps
+    (``time_blocks``).  Each column is updated on its own, so run j equals
+    run j integrated alone, bit for bit, and an inf or NaN in one column
+    leaves the others alone.  The states are stored in one (k, N+1, m) array
+    of coefficients and one of velocities, and the trajectory of run j views
+    their slices j.
     """
     k = len(forcings)
     if k == 0 or len(c0s) != k or len(v0s) != k:
@@ -359,28 +353,33 @@ def integrate_columns(
     for j, (c0, v0, _) in enumerate(starts):
         CS[j, 0], VS[j, 0] = c0, v0
     stepper = MidpointStepper(sys, dt)
-    free = [j for j, f in enumerate(forcings) if stepper.dense and _unforced(f)]
-    forced = [j for j in range(k) if j not in free]
-    for j in free:
-        stepper.propagate(VS[j], CS[j])
-    Z = np.concatenate([VS[forced, 0].T, CS[forced, 0].T])
-    # (state, its rows of VS and CS, its columns of the loads); row n of the
-    # rows is sample n of the state's runs, shaped like its v and c
-    if stepper.dense or len(forced) == 1:
-        lanes = [(Z[:, i].copy(), VS[j], CS[j], i) for i, j in enumerate(forced)]
-    else:
-        lanes = [(Z, VS.transpose(1, 2, 0), CS.transpose(1, 2, 0), slice(None))]
-    for block in time_blocks(sys, len(times) - 1) if lanes else ():
+    blocks = time_blocks(sys, len(times) - 1)
+    if stepper.dense:
+        W = None  # the rows of w of a forced run, one array for every run
+        for j, forcing in enumerate(forcings):
+            terms = None
+            if not _unforced(forcing):
+                terms = W = np.empty((len(times) - 1, m)) if W is None else W
+                for block in blocks:
+                    loads = 0.5 * dt * load_vector(sys, forcing, times[block] + 0.5 * dt)
+                    terms[block] = stepper.forcing_terms(loads)
+            stepper.propagate(VS[j], CS[j], terms)
+        return [Trajectory(times, CS[j], VS[j]) for j in range(k)]
+    # row n of V_rows and C_rows is sample n of the state's runs, shaped like
+    # its v and c
+    cols = 0 if k == 1 else slice(None)
+    state = np.concatenate([VS[:, 0].T, CS[:, 0].T])[:, cols].copy()
+    V_rows, C_rows = VS.transpose(1, 2, 0)[..., cols], CS.transpose(1, 2, 0)[..., cols]
+    v, c = state[:m], state[m:]
+    for block in blocks:
         t = times[block] + 0.5 * dt
-        loads = np.stack([load_vector(sys, forcings[j], t) for j in forced], axis=-1)
+        loads = np.stack([load_vector(sys, forcing, t) for forcing in forcings], axis=-1)
         loads *= 0.5 * dt
-        for state, V_rows, C_rows, cols in lanes:
-            v, c = state[:m], state[m:]
-            for n, term in zip(range(block.start + 1, block.stop + 1),
-                               stepper.forcing_terms(loads[..., cols])):
-                stepper.advance(state, term)
-                V_rows[n] = v
-                C_rows[n] = c
+        for n, term in zip(range(block.start + 1, block.stop + 1),
+                           stepper.forcing_terms(loads[..., cols])):
+            stepper.advance(state, term)
+            V_rows[n] = v
+            C_rows[n] = c
     return [Trajectory(times, CS[j], VS[j]) for j in range(k)]
 
 

@@ -31,8 +31,7 @@ from conftest import boundary_integral
 from twopointwave.errors import DimensionError, SingularMatrixError
 from twopointwave.galerkin import (BLOCK_VALUES, BandedOperator, error_norms, load_vector,
                                    time_blocks)
-from twopointwave.integrate import (BLOCK_ANCHORS, BLOCK_STEPS, DENSE_MAX_DIM, MidpointStepper,
-                                    _expm)
+from twopointwave.integrate import BLOCK_STEPS, DENSE_MAX_DIM, MidpointStepper, _expm
 
 P = ProblemParams(h0=1.0, h1=0.5, lam0=1.0, lam1=1.0, ht0=0.01, ht1=0.01,
                   lt0=0.1, lt1=0.1, K=1.0, lam=1.0)
@@ -202,8 +201,8 @@ class TestIntegrate:
         # (sample 96): an unforced run advances by blocks of BLOCK_STEPS steps
         # from its start, whatever time it counts from, so a restart on that
         # grid reproduces the final state bit for bit, and one off it to
-        # roundoff: 4.7e-15 of the final state's largest value measured at
-        # sample 100, at most 6.2e-15 over restarts at samples 81 to 120.
+        # roundoff: 3.7e-15 of the final state's largest value measured at
+        # sample 100, at most 6.7e-15 over restarts at samples 81 to 120.
         # Either way the running integrals split up to the summation order
         # (1e-15) and one rounding of X in each of the three integrals read
         # back from it
@@ -266,10 +265,16 @@ class TestBatchedForcing:
         traj = integrate(sys, ms.forcing(), c0, v0, self.T, self.DT)
         stepper = MidpointStepper(sys, self.DT)
         c, v = c0, v0
+        cs, vs = [c], [v]
         for k in range(steps):
             c, v = stepper.step(ms.forcing(), c, v, traj.times[k])
-            np.testing.assert_array_equal(traj.coeffs[k + 1], c)
-            np.testing.assert_array_equal(traj.velocities[k + 1], v)
+            cs.append(c)
+            vs.append(v)
+        for got, want in ((traj.coeffs, np.array(cs)), (traj.velocities, np.array(vs))):
+            if n == 513:  # the sparse path: every state is an advance step
+                np.testing.assert_array_equal(got, want)
+            else:  # the dense path advances by blocks: measured 4.0e-15
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_interior_load_is_evaluated_once_per_block(self):
         sys = assemble(uniform_mesh(513), P)
@@ -400,8 +405,8 @@ class TestColumns:
         self.assert_one_non_finite_column(sys, self.runs("boundary_exp", sys)[:3])
 
     def test_a_non_finite_unforced_column_leaves_the_others_alone(self):
-        # unforced columns on the dense path advance by blocks of steps, a
-        # forced one step by step
+        # unforced and forced columns on the dense path, each advancing by
+        # blocks of steps
         sys = assemble(uniform_mesh(17), P)
         runs = self.runs("unforced", sys)[:2] + self.runs("boundary_exp", sys)[2:3]
         self.assert_one_non_finite_column(sys, runs)
@@ -462,36 +467,53 @@ class TestDenseAndSparsePaths:
                     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def _long_double_loop(D, z, steps):
-    """z_{n+1} = z_n + D z_n in long double, from the float64 D and z."""
-    D, z = D.astype(np.longdouble), z.astype(np.longdouble)
+def _long_double_loop(stepper, z, steps, terms=None):
+    """z_{n+1} = z_n + D z_n + (2w_n; dt*w_n) in long double, from the
+    float64 D, z and w_n = terms[n] (no load term when terms is None)."""
+    D, z = stepper._D.astype(np.longdouble), z.astype(np.longdouble)
+    m, dt = stepper.sys.m, np.longdouble(stepper.dt)
     out = [z]
-    for _ in range(steps):
+    for n in range(steps):
         z = z + D @ z
+        if terms is not None:
+            w = terms[n].astype(np.longdouble)
+            z = z + np.concatenate([2 * w, dt * w])
         out.append(z)
     return np.array(out)
 
 
-def _plain_power_increments(stepper):
-    """What MidpointStepper._block_increments holds, built from the powers
-    P^j = P P^(j-1) instead: fl(P^j) - I in place of D_j."""
-    m = stepper.sys.m
-    P = np.eye(2 * m) + stepper._D
-    G = np.empty((2, 2 * m, BLOCK_STEPS - 1, m))
+def _plain_power_increment(stepper):
+    """What MidpointStepper._D_B holds, built from the power P^B = P P^(B-1)
+    instead: fl(P^B) - I in place of D_B."""
+    P = np.eye(len(stepper._D)) + stepper._D
     power = P
-    for j in range(BLOCK_STEPS - 1):
-        D_j = power - np.eye(2 * m)
-        G[0, :, j], G[1, :, j] = D_j[:m].T, D_j[m:].T
+    for _ in range(BLOCK_STEPS - 1):
         power = P @ power
-    G = G.reshape(2, 2 * m, -1)
-    return power - np.eye(2 * m), G[0], G[1]
+    return power - np.eye(len(P))
+
+
+LOADS = ("none", "boundary_exp", "manufactured")
+
+
+def _by_load(cases, ids):
+    """The (load, case) pairs over LOADS for parametrize; an unforced case
+    keeps the case's own id."""
+    return [pytest.param(load, case, id=case_id if load == "none" else f"{load}-{case_id}")
+            for load in LOADS for case, case_id in zip(cases, ids)]
+
+
+def _dense_forcing(load):
+    """The forcing of a TestUnforcedBlocks run with that load."""
+    return {"none": Forcing(), "boundary_exp": _boundary_exp(2.0, 0.5),
+            "manufactured": manufacture("decaying_cosine", P, 1.0).forcing()}[load]
 
 
 class TestUnforcedBlocks:
-    """An unforced run on the dense path advances by blocks of BLOCK_STEPS
-    steps from anchor states, with the increments D_j = P^j - I of the
-    propagator P (MidpointStepper.propagate); it must stay as accurate as
-    stepping, and agree with a loop of MidpointStepper.step to roundoff."""
+    """A run on the dense path advances by blocks of BLOCK_STEPS steps, all
+    blocks stepping together from anchor states, forced or not
+    (MidpointStepper.propagate; the class is named for the unforced runs
+    that took this path first); it must stay as accurate as stepping, and
+    agree with a loop of MidpointStepper.step to roundoff."""
 
     DT = 1e-3
 
@@ -500,58 +522,100 @@ class TestUnforcedBlocks:
         nodes = sys.mesh.nodes
         return np.cos(np.pi * nodes), np.sin(np.pi * nodes) - nodes
 
-    @pytest.mark.parametrize("steps", [
-        BLOCK_STEPS - 3, BLOCK_STEPS, 3 * BLOCK_STEPS + 1, 5 * BLOCK_STEPS + 7,
-        (BLOCK_ANCHORS + 2) * BLOCK_STEPS + 5], ids=["short", "one_block", "blocks_plus_one",
-                                                      "ragged_tail", "two_chunks"])
+    @pytest.mark.parametrize("load, steps", _by_load(
+        [BLOCK_STEPS - 3, BLOCK_STEPS, 3 * BLOCK_STEPS + 1, 5 * BLOCK_STEPS + 7,
+         34 * BLOCK_STEPS + 5], ["short", "one_block", "blocks_plus_one", "ragged_tail", "long"]))
     @pytest.mark.parametrize("n", [2, 33, 65, DENSE_MAX_DIM])
-    def test_equals_a_loop_of_step(self, n, steps):
+    def test_equals_a_loop_of_step(self, n, load, steps):
         sys = assemble(uniform_mesh(n), P)
         c0, v0 = self.start(sys)
-        traj = integrate(sys, Forcing(), c0, v0, steps * self.DT, self.DT)
+        forcing = _dense_forcing(load)
+        traj = integrate(sys, forcing, c0, v0, steps * self.DT, self.DT)
         stepper = MidpointStepper(sys, self.DT)
         c, v = c0, v0
         cs, vs = [c], [v]
         for k in range(steps):
-            c, v = stepper.step(Forcing(), c, v, traj.times[k])
+            c, v = stepper.step(forcing, c, v, traj.times[k])
             cs.append(c.copy())
             vs.append(v.copy())
         for got, want in ((traj.coeffs, np.array(cs)), (traj.velocities, np.array(vs))):
             if steps < BLOCK_STEPS:  # no block: every state is an advance step
                 np.testing.assert_array_equal(got, want)
-            else:  # measured at most 2.8e-13 (n=73), 1.5e-13 at n=65
-                assert np.max(np.abs(got - want)) <= 5e-13 * np.max(np.abs(want))
+            else:  # measured at most 2.8e-13 unforced (n=73), 1.1e-13 for
+                # boundary_exp, 4.4e-13 manufactured (n=73, long)
+                bound = 5e-13 if load == "none" else 1e-12
+                assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("n", [2, 33, 65, DENSE_MAX_DIM])
-    def test_as_accurate_as_stepping(self, n):
-        # distance from a long-double loop of the same float64 P, relative to
-        # the largest value, over 2000 steps: measured for stepping / the
-        # increments / the plain powers P^j 7.2e-16 / 4.0e-16 / 1.2e-14 at
-        # n=2, 2.6e-14 / 4.3e-14 / 1.6e-13 at n=33, 1.2e-13 / 1.0e-13 /
-        # 4.4e-13 at n=65, 1.3e-13 / 1.2e-13 / 5.2e-13 at n=73
+    @pytest.mark.parametrize("load, n", _by_load([2, 33, 65, DENSE_MAX_DIM],
+                                                  ["2", "33", "65", str(DENSE_MAX_DIM)]))
+    def test_as_accurate_as_stepping(self, n, load):
+        # distance from a long-double loop of the same float64 P and w,
+        # relative to the largest value, over 2000 steps: measured for
+        # stepping / the blocks / the blocks from the plain power P^B at
+        # n = 2, 33, 65, 73:
+        #   none          7.2e-16 / 5.8e-16 / 1.2e-14   2.6e-14 / 4.3e-14 / 1.6e-13
+        #                 1.2e-13 / 1.0e-13 / 4.5e-13   1.3e-13 / 1.2e-13 / 5.2e-13
+        #   boundary_exp  6.3e-16 / 5.7e-16 / 1.1e-14   2.7e-14 / 2.6e-14 / 1.2e-13
+        #                 1.3e-13 / 7.6e-14 / 4.0e-13   1.5e-13 / 8.2e-14 / 4.1e-13
+        #   manufactured  2.0e-15 / 8.2e-16 / 2.6e-14   6.1e-14 / 6.6e-14 / 2.8e-13
+        #                 2.4e-13 / 1.7e-13 / 7.3e-13   2.6e-13 / 1.8e-13 / 8.2e-13
         sys = assemble(uniform_mesh(n), P)
         steps, m = 2000, sys.m
         stepper = MidpointStepper(sys, self.DT)
+        terms = None
+        if load != "none":
+            t = self.DT * (np.arange(steps) + 0.5)
+            terms = stepper.forcing_terms(0.5 * self.DT * load_vector(sys, _dense_forcing(load), t))
         c0, v0 = self.start(sys)
         z = np.concatenate([v0, c0])
-        want = _long_double_loop(stepper._D, z, steps)
+        want = _long_double_loop(stepper, z, steps, terms)
         scale = np.max(np.abs(want))
 
         def distance(states):
             return float(np.max(np.abs(states - want)) / scale)
 
         stepped = [z.copy()]
-        for _ in range(steps):
-            stepper.advance(z, None)
+        for i in range(steps):
+            stepper.advance(z, None if terms is None else terms[i])
             stepped.append(z.copy())
         bound = 2.5 * distance(np.array(stepped)) + 1e-15
-        for plain_powers in (False, True):
-            if plain_powers:
-                stepper.__dict__["_block_increments"] = _plain_power_increments(stepper)
+        for plain_power in (False, True):
+            if plain_power:
+                stepper.__dict__["_D_B"] = _plain_power_increment(stepper)
             V, C = np.empty((steps + 1, m)), np.empty((steps + 1, m))
             V[0], C[0] = v0, c0
-            stepper.propagate(V, C)
-            assert (distance(np.hstack([V, C])) <= bound) != plain_powers
+            stepper.propagate(V, C, terms)
+            assert (distance(np.hstack([V, C])) <= bound) != plain_power
+
+    @pytest.mark.parametrize("n", [9, 65])
+    def test_exactly_zero_loads_equal_the_unforced_run(self, n):
+        # a forcing whose loads are all zero takes the forced passes, whose
+        # load terms then add only zeros
+        sys = assemble(uniform_mesh(n), P)
+        c0, v0 = self.start(sys)
+        zero = Forcing(g0=lambda t: 0.0, f=lambda x, t: 0.0 * x * t)
+        T = (5 * BLOCK_STEPS + 7) * self.DT
+        free, forced = (integrate(sys, forcing, c0, v0, T, self.DT) for forcing in (Forcing(), zero))
+        np.testing.assert_array_equal(forced.coeffs, free.coeffs)
+        np.testing.assert_array_equal(forced.velocities, free.velocities)
+
+    @pytest.mark.parametrize("n", [2, 33, DENSE_MAX_DIM])
+    def test_only_the_tail_steps_are_advance_steps(self, n, monkeypatch):
+        calls = []
+        advance = MidpointStepper.advance
+
+        def counting(stepper, z, term):
+            calls.append(stepper.dense)
+            advance(stepper, z, term)
+
+        monkeypatch.setattr(MidpointStepper, "advance", counting)
+        sys = assemble(uniform_mesh(n), P)
+        c0, v0 = self.start(sys)
+        runs = [Forcing(), _dense_forcing("boundary_exp"), _dense_forcing("manufactured")]
+        tail = 7
+        integrate_columns(sys, runs, [c0] * 3, [v0] * 3, (5 * BLOCK_STEPS + tail) * self.DT,
+                          self.DT)
+        assert calls == [True] * (3 * tail)
 
 
 def _generator(sys):
